@@ -133,6 +133,39 @@ pub struct EngineStats {
     pub start_points_observed: u64,
 }
 
+impl EngineStats {
+    /// Visits every counter in checkpoint-word order. The exhaustive
+    /// destructuring makes an unvisited new field a compile error.
+    pub fn visit_words(&mut self, f: &mut impl FnMut(&mut u64)) {
+        let EngineStats {
+            regions_started,
+            regions_completed,
+            regions_caught_up,
+            regions_fetch_bound,
+            regions_buffer_bound,
+            traces_built,
+            traces_already_cached,
+            successors_dropped,
+            lines_fetched,
+            start_points_observed,
+        } = self;
+        for w in [
+            regions_started,
+            regions_completed,
+            regions_caught_up,
+            regions_fetch_bound,
+            regions_buffer_bound,
+            traces_built,
+            traces_already_cached,
+            successors_dropped,
+            lines_fetched,
+            start_points_observed,
+        ] {
+            f(w);
+        }
+    }
+}
+
 /// One observable engine action, recorded when
 /// [`EngineConfig::record_activity`] is set. The differential oracle
 /// drains these with [`PreconEngine::take_activity`] and checks each

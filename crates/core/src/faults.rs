@@ -5,27 +5,8 @@
 //! output can be wrong, late, or absent without ever changing
 //! architectural results — only performance. This module makes that
 //! claim mechanically checkable. A seeded [`FaultPlan`] perturbs
-//! every preconstruction mechanism at well-defined injection points:
-//!
-//! * [`FaultKind::FlipBimodalBit`] — flip one bit of one 2-bit
-//!   bimodal counter (the bias source the constructors follow);
-//! * [`FaultKind::DropPrefetchFill`] — lose an in-flight prefetch-
-//!   cache line fill (the region transparently re-requests it);
-//! * [`FaultKind::DelayPrefetchFill`] — add latency to an in-flight
-//!   prefetch-cache fill;
-//! * [`FaultKind::StallConstructor`] — freeze one busy trace
-//!   constructor for a few cycles;
-//! * [`FaultKind::KillConstructor`] — abort one busy constructor's
-//!   in-progress trace outright;
-//! * [`FaultKind::InvalidatePreconEntry`] — drop one pending
-//!   preconstruction-buffer entry before the processor can use it;
-//! * [`FaultKind::CorruptPreconEntry`] — corrupt one pending entry's
-//!   region tag (modelled as detected corruption: the entry loses its
-//!   replacement priority and is displaced by any later region);
-//! * [`FaultKind::SpuriousStackPop`] — pop and discard the region
-//!   start-point stack's top entry;
-//! * [`FaultKind::SpuriousStackSquash`] — spuriously run the
-//!   misspeculation-recovery squash, deleting the youngest entries.
+//! every preconstruction mechanism at well-defined injection points,
+//! one per [`FaultKind`].
 //!
 //! Scheduling is a pure function of `(FaultPlan, cycle)`: each cycle
 //! the [`FaultState`] draws, in fixed kind order, whether each
@@ -38,66 +19,69 @@
 
 use tpc_isa::model::XorShift64;
 
-/// Number of distinct fault kinds.
-pub const NUM_FAULT_KINDS: usize = 9;
+/// Declares [`FaultKind`] from one list of `(doc, Variant, "name")`
+/// entries, together with [`NUM_FAULT_KINDS`], [`FaultKind::ALL`]
+/// and [`FaultKind::name`]. Discriminants follow list order, which is
+/// also the scheduler's draw order: reordering the list changes every
+/// fault schedule.
+macro_rules! fault_kinds {
+    ($($(#[doc = $doc:literal])* $variant:ident => $name:literal,)*) => {
+        /// One class of injectable fault: what it perturbs, at which
+        /// injection point.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        #[repr(u8)]
+        pub enum FaultKind {
+            $($(#[doc = $doc])* $variant,)*
+        }
 
-/// One class of injectable fault. See the module docs for what each
-/// kind perturbs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u8)]
-pub enum FaultKind {
-    /// Flip one bit of one bimodal counter.
-    FlipBimodalBit = 0,
-    /// Drop an in-flight prefetch-cache line fill.
-    DropPrefetchFill = 1,
+        /// Number of distinct fault kinds.
+        pub const NUM_FAULT_KINDS: usize = [$(FaultKind::$variant),*].len();
+
+        impl FaultKind {
+            /// Every kind, in the fixed order the scheduler draws them.
+            pub const ALL: [FaultKind; NUM_FAULT_KINDS] = [$(FaultKind::$variant),*];
+
+            /// Short stable name (reports, degradation tables).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(FaultKind::$variant => $name,)*
+                }
+            }
+        }
+    };
+}
+
+fault_kinds! {
+    /// Flip one bit of one 2-bit bimodal counter (the bias source the
+    /// constructors follow).
+    FlipBimodalBit => "flip-bimodal-bit",
+    /// Lose an in-flight prefetch-cache line fill (the region
+    /// transparently re-requests it).
+    DropPrefetchFill => "drop-prefetch-fill",
     /// Add latency to an in-flight prefetch-cache line fill.
-    DelayPrefetchFill = 2,
+    DelayPrefetchFill => "delay-prefetch-fill",
     /// Freeze one busy trace constructor for a few cycles.
-    StallConstructor = 3,
-    /// Abort one busy trace constructor's in-progress trace.
-    KillConstructor = 4,
-    /// Drop one pending preconstruction-buffer entry.
-    InvalidatePreconEntry = 5,
-    /// Zero one pending preconstruction entry's region tag.
-    CorruptPreconEntry = 6,
-    /// Pop and discard the start-point stack's top entry.
-    SpuriousStackPop = 7,
-    /// Spuriously squash the start-point stack's youngest entries.
-    SpuriousStackSquash = 8,
+    StallConstructor => "stall-constructor",
+    /// Abort one busy trace constructor's in-progress trace outright.
+    KillConstructor => "kill-constructor",
+    /// Drop one pending preconstruction-buffer entry before the
+    /// processor can use it.
+    InvalidatePreconEntry => "invalidate-precon-entry",
+    /// Corrupt one pending entry's region tag (modelled as detected
+    /// corruption: the entry loses its replacement priority and is
+    /// displaced by any later region).
+    CorruptPreconEntry => "corrupt-precon-entry",
+    /// Pop and discard the region start-point stack's top entry.
+    SpuriousStackPop => "spurious-stack-pop",
+    /// Spuriously run the misspeculation-recovery squash, deleting the
+    /// start-point stack's youngest entries.
+    SpuriousStackSquash => "spurious-stack-squash",
 }
 
 impl FaultKind {
-    /// Every kind, in the fixed order the scheduler draws them.
-    pub const ALL: [FaultKind; NUM_FAULT_KINDS] = [
-        FaultKind::FlipBimodalBit,
-        FaultKind::DropPrefetchFill,
-        FaultKind::DelayPrefetchFill,
-        FaultKind::StallConstructor,
-        FaultKind::KillConstructor,
-        FaultKind::InvalidatePreconEntry,
-        FaultKind::CorruptPreconEntry,
-        FaultKind::SpuriousStackPop,
-        FaultKind::SpuriousStackSquash,
-    ];
-
     /// The kind's bit in a [`FaultPlan::kinds`] mask.
     pub fn bit(self) -> u32 {
         1 << (self as u32)
-    }
-
-    /// Short stable name (reports, degradation tables).
-    pub fn name(self) -> &'static str {
-        match self {
-            FaultKind::FlipBimodalBit => "flip-bimodal-bit",
-            FaultKind::DropPrefetchFill => "drop-prefetch-fill",
-            FaultKind::DelayPrefetchFill => "delay-prefetch-fill",
-            FaultKind::StallConstructor => "stall-constructor",
-            FaultKind::KillConstructor => "kill-constructor",
-            FaultKind::InvalidatePreconEntry => "invalidate-precon-entry",
-            FaultKind::CorruptPreconEntry => "corrupt-precon-entry",
-            FaultKind::SpuriousStackPop => "spurious-stack-pop",
-            FaultKind::SpuriousStackSquash => "spurious-stack-squash",
-        }
     }
 }
 
@@ -161,6 +145,26 @@ pub struct FaultStats {
     pub injected_by_kind: [u64; NUM_FAULT_KINDS],
     /// Per-kind landed counts, indexed by `FaultKind as usize`.
     pub landed_by_kind: [u64; NUM_FAULT_KINDS],
+}
+
+impl FaultStats {
+    /// Visits every counter in checkpoint-word order: the two totals,
+    /// then each per-kind array in [`FaultKind::ALL`] order. The
+    /// exhaustive destructuring makes an unvisited new field a
+    /// compile error.
+    pub fn visit_words(&mut self, f: &mut impl FnMut(&mut u64)) {
+        let FaultStats {
+            injected,
+            landed,
+            injected_by_kind,
+            landed_by_kind,
+        } = self;
+        f(injected);
+        f(landed);
+        for w in injected_by_kind.iter_mut().chain(landed_by_kind) {
+            f(w);
+        }
+    }
 }
 
 /// One scheduled fault: the kind plus two pseudo-random operands the
@@ -370,11 +374,12 @@ mod tests {
         assert_eq!(seen, FAULTS_ALL);
     }
 
-    /// Pins `FaultKind` ↔ `FaultStats` exhaustiveness at runtime, the
-    /// same invariant the `conf-faultkind` lint rule checks
-    /// statically: every variant has a distinct slot in both per-kind
-    /// counter arrays, `ALL` enumerates each variant exactly once in
-    /// discriminant order, and `note` lands each kind in its own
+    /// Pins `FaultKind` ↔ `FaultStats` exhaustiveness at runtime.
+    /// `fault_kinds!` derives `NUM_FAULT_KINDS`, `ALL` and `name()`
+    /// from one list, so this checks what the macro promises: every
+    /// variant has a distinct slot in both per-kind counter arrays,
+    /// `ALL` enumerates each variant exactly once in discriminant
+    /// order, names are unique, and `note` lands each kind in its own
     /// counters with no cross-talk.
     #[test]
     fn fault_kind_and_fault_stats_are_exhaustive() {

@@ -60,6 +60,31 @@ pub struct StoreCounters {
     pub precon_rejected: u64,
 }
 
+impl StoreCounters {
+    /// Visits every counter in checkpoint-word order. The exhaustive
+    /// destructuring makes an unvisited new field a compile error.
+    pub fn visit_words(&mut self, f: &mut impl FnMut(&mut u64)) {
+        let StoreCounters {
+            fetches,
+            tc_hits,
+            precon_hits,
+            misses,
+            precon_fills,
+            precon_rejected,
+        } = self;
+        for w in [
+            fetches,
+            tc_hits,
+            precon_hits,
+            misses,
+            precon_fills,
+            precon_rejected,
+        ] {
+            f(w);
+        }
+    }
+}
+
 /// Storage for traces: the trace cache plus wherever preconstructed
 /// traces wait. The processor fetches through [`TraceStore::fetch`];
 /// the fill unit inserts through [`TraceStore::fill_demand`]; the

@@ -392,9 +392,7 @@ pub fn run_cells_resumable(
     let max = budget.max_cycles(params.warmup + params.measure);
     let fresh = par_try_map(&todo, effective_jobs(params.jobs), |&(i, cell)| {
         let mut sim = Simulator::new(&cell.program, cell.config.clone());
-        sim.run_budgeted(params.warmup, max)?;
-        sim.reset_stats();
-        let stats = sim.run_budgeted(params.measure, max)?;
+        let stats = sim.run_with_warmup_budgeted(params.warmup, params.measure, max)?;
         if let Some(ck) = checkpoint {
             ck.record(i, &stats).map_err(|e| CellError::Checkpoint {
                 message: e.to_string(),

@@ -19,11 +19,11 @@
 //!   requires panics to be exceptional.
 //! * **Hot-path arithmetic** ([`rules::arith`]) — narrowing casts in
 //!   the per-cycle simulator loop need explicit justification.
-//! * **Cross-file conformance** ([`rules::conformance`]) — the
-//!   `SimStats` 62-word codec, `FaultKind`/`FaultStats`/chaos
-//!   coverage, the service wire protocol across
-//!   `spec.rs`/`client.rs`/`server.rs`, and `--jobs` on every
-//!   experiment bin.
+//! * **Cross-file conformance** ([`rules::conformance`]) — all-kinds
+//!   fault coverage in the degradation sweep, the service wire
+//!   protocol across `spec.rs`/`client.rs`/`server.rs`, `--jobs` on
+//!   every experiment bin, and differential coverage of every
+//!   frontend.
 //!
 //! Suppressions live in `lint_allow.txt` at the workspace root; every
 //! entry carries a mandatory written justification and goes stale

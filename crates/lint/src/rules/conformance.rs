@@ -3,16 +3,10 @@
 //! These extract facts from several files and compare them — the
 //! drift clippy can't see:
 //!
-//! * `conf-simstats-codec`: the `SimStats` struct, its `WORDS`
-//!   constant, and the `to_words` encoder must agree — the word
-//!   count summed from `to_words` (literal arrays plus the two
-//!   `NUM_FAULT_KINDS`-sized fault arrays) must equal `WORDS`, and
-//!   every struct field must appear in both `to_words` and
-//!   `from_words`.
-//! * `conf-faultkind`: `FaultKind` variants vs `NUM_FAULT_KINDS` vs
-//!   the `ALL` array vs `name()` vs the per-kind `FaultStats`
-//!   arrays vs the simulator's `apply_faults` match vs the
-//!   degradation experiment's all-kinds fault plan.
+//! * `conf-faultkind`: the degradation experiment must sweep every
+//!   fault kind through `FaultPlan::all`. (The `FaultKind` list
+//!   itself, its count, `ALL`, `name()` and the simulator's
+//!   `apply_faults` match are kept in step by the compiler.)
 //! * `conf-protocol`: ops the client/spec send must be exactly the
 //!   ops the server matches; events the server emits must be
 //!   exactly the events the client matches; reply ops the client
@@ -29,12 +23,11 @@ use std::collections::BTreeSet;
 use crate::lexer::{Tok, TokKind};
 use crate::report::Finding;
 use crate::rules::{finding, for_each_seq};
-use crate::tree::{fn_bodies, walk, Tree};
+use crate::tree::{walk, Tree};
 use crate::workspace::{SourceFile, Workspace};
 
 /// Runs every conformance rule over the workspace.
 pub fn check(ws: &Workspace, out: &mut Vec<Finding>) {
-    simstats_codec(ws, out);
     faultkind(ws, out);
     protocol(ws, out);
     jobs_flag(ws, out);
@@ -59,125 +52,6 @@ fn idents(trees: &[Tree]) -> Vec<String> {
             }
         }
     });
-    out
-}
-
-/// The integer value of `const NAME … = <num>` anywhere in the file.
-fn const_value(file: &SourceFile, name: &str) -> Option<u64> {
-    let mut found = None;
-    for_each_seq(&file.trees, &mut |seq| {
-        for (i, t) in seq.iter().enumerate() {
-            if t.is_ident("const") && seq.get(i + 1).is_some_and(|n| n.is_ident(name)) {
-                for later in &seq[i + 2..] {
-                    if later.is_punct(";") {
-                        break;
-                    }
-                    if let Tree::Leaf(tok) = later {
-                        if tok.kind == TokKind::Num {
-                            found = tok.text.replace('_', "").parse().ok();
-                            return;
-                        }
-                    }
-                }
-            }
-        }
-    });
-    found
-}
-
-/// The body children of `<kw> <name> { … }` (struct or enum),
-/// searching nested groups.
-fn item_body<'t>(trees: &'t [Tree], kw: &str, name: &str) -> Option<&'t [Tree]> {
-    let mut found = None;
-    for_each_seq_ref(trees, &mut |seq| {
-        for (i, t) in seq.iter().enumerate() {
-            if t.is_ident(kw) && seq.get(i + 1).is_some_and(|n| n.is_ident(name)) {
-                for later in &seq[i + 2..] {
-                    if later.is_group('{') {
-                        found = Some(later.children());
-                        return;
-                    }
-                    if later.is_punct(";") {
-                        break;
-                    }
-                }
-            }
-        }
-    });
-    found
-}
-
-/// Like [`for_each_seq`] but usable when the closure needs to store
-/// borrowed slices from the forest.
-fn for_each_seq_ref<'t>(trees: &'t [Tree], f: &mut dyn FnMut(&'t [Tree])) {
-    f(trees);
-    for t in trees {
-        if let Tree::Group { children, .. } = t {
-            for_each_seq_ref(children, f);
-        }
-    }
-}
-
-/// Field names of a struct body: idents directly followed by `:`,
-/// skipping visibility and attributes, one per comma-separated
-/// entry.
-fn struct_fields(body: &[Tree]) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut expecting = true;
-    let mut i = 0usize;
-    while i < body.len() {
-        // bound: i < body.len() guarded by the loop condition
-        let t = &body[i];
-        if t.is_punct(",") {
-            expecting = true;
-            i += 1;
-            continue;
-        }
-        if t.is_punct("#") {
-            i += 2; // attribute: `#` + bracket group
-            continue;
-        }
-        if expecting && !t.is_ident("pub") {
-            if let Tree::Leaf(tok) = t {
-                if tok.kind == TokKind::Ident && body.get(i + 1).is_some_and(|n| n.is_punct(":")) {
-                    out.push(tok.text.clone());
-                }
-            }
-            expecting = false;
-        }
-        i += 1;
-    }
-    out
-}
-
-/// Variant names of an enum body (skips attributes and `= <num>`
-/// discriminants).
-fn enum_variants(body: &[Tree]) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut expecting = true;
-    let mut i = 0usize;
-    while i < body.len() {
-        // bound: i < body.len() guarded by the loop condition
-        let t = &body[i];
-        if t.is_punct(",") {
-            expecting = true;
-            i += 1;
-            continue;
-        }
-        if t.is_punct("#") {
-            i += 2; // attribute: `#` + bracket group
-            continue;
-        }
-        if expecting {
-            if let Tree::Leaf(tok) = t {
-                if tok.kind == TokKind::Ident {
-                    out.push(tok.text.clone());
-                }
-            }
-            expecting = false;
-        }
-        i += 1;
-    }
     out
 }
 
@@ -264,251 +138,32 @@ fn sort_dedup(mut v: Vec<String>) -> Vec<String> {
     v
 }
 
-// ---- conf-simstats-codec ----------------------------------------
-
-fn simstats_codec(ws: &Workspace, out: &mut Vec<Finding>) {
-    const RULE: &str = "conf-simstats-codec";
-    let Some(sim) = ws.get("crates/processor/src/simulator.rs") else {
-        return;
-    };
-    let Some(faults) = ws.get("crates/core/src/faults.rs") else {
-        return;
-    };
-    let Some(num_kinds) = const_value(faults, "NUM_FAULT_KINDS") else {
-        out.push(broken(
-            RULE,
-            faults,
-            "NUM_FAULT_KINDS const not found".into(),
-        ));
-        return;
-    };
-    let Some(words_const) = const_value(sim, "WORDS") else {
-        out.push(broken(RULE, sim, "SimStats::WORDS const not found".into()));
-        return;
-    };
-    let bodies = fn_bodies(&sim.trees, "to_words");
-    let Some((to_words_line, to_words)) = bodies.first().map(|(l, b)| (*l, *b)) else {
-        out.push(broken(RULE, sim, "fn to_words not found".into()));
-        return;
-    };
-    // Sum the encoder's word count: literal arrays contribute their
-    // element count, bare `w.extend(<array field>)` contributes
-    // NUM_FAULT_KINDS, `w.push` contributes one.
-    let mut total = 0u64;
-    for (i, t) in to_words.iter().enumerate() {
-        if !t.is_ident("w") || !to_words.get(i + 1).is_some_and(|n| n.is_punct(".")) {
-            continue;
-        }
-        let method = to_words.get(i + 2);
-        let Some(args) = to_words.get(i + 3).filter(|a| a.is_group('(')) else {
-            continue;
-        };
-        if method.is_some_and(|m| m.is_ident("push")) {
-            total += 1;
-        } else if method.is_some_and(|m| m.is_ident("extend")) {
-            match args.children().first() {
-                Some(arr) if arr.is_group('[') => {
-                    let commas = arr.children().iter().filter(|c| c.is_punct(",")).count() as u64;
-                    let trailing = arr.children().last().is_some_and(|c| c.is_punct(","));
-                    total += commas + u64::from(!trailing);
-                }
-                Some(_) => total += num_kinds,
-                None => {}
-            }
-        }
-    }
-    if total != words_const {
-        out.push(finding(
-            RULE,
-            sim,
-            to_words_line,
-            format!(
-                "to_words encodes {total} words but SimStats::WORDS is {words_const} \
-                 (with NUM_FAULT_KINDS = {num_kinds})"
-            ),
-        ));
-    }
-    // Every SimStats field must appear in both codec directions.
-    let Some(body) = item_body(&sim.trees, "struct", "SimStats") else {
-        out.push(broken(RULE, sim, "struct SimStats not found".into()));
-        return;
-    };
-    let fields = struct_fields(body);
-    if fields.is_empty() {
-        out.push(broken(
-            RULE,
-            sim,
-            "struct SimStats has no parsed fields".into(),
-        ));
-        return;
-    }
-    let to_ids = idents(to_words);
-    let from_ids = fn_bodies(&sim.trees, "from_words")
-        .first()
-        .map(|(_, b)| idents(b))
-        .unwrap_or_default();
-    if from_ids.is_empty() {
-        out.push(broken(RULE, sim, "fn from_words not found".into()));
-        return;
-    }
-    for field in fields {
-        for (dir, ids) in [("to_words", &to_ids), ("from_words", &from_ids)] {
-            if !ids.contains(&field) {
-                out.push(finding(
-                    RULE,
-                    sim,
-                    to_words_line,
-                    format!("SimStats field `{field}` is not encoded by {dir}"),
-                ));
-            }
-        }
-    }
-}
-
 // ---- conf-faultkind ---------------------------------------------
 
+/// Chaos coverage: the degradation experiment must schedule every
+/// kind (`FaultPlan::all`), not a hand-picked subset.
 fn faultkind(ws: &Workspace, out: &mut Vec<Finding>) {
-    const RULE: &str = "conf-faultkind";
-    let Some(faults) = ws.get("crates/core/src/faults.rs") else {
+    let Some(deg) = ws.get("crates/experiments/src/degradation.rs") else {
         return;
     };
-    let Some(body) = item_body(&faults.trees, "enum", "FaultKind") else {
-        out.push(broken(RULE, faults, "enum FaultKind not found".into()));
-        return;
-    };
-    let variants = enum_variants(body);
-    let Some(num_kinds) = const_value(faults, "NUM_FAULT_KINDS") else {
-        out.push(broken(
-            RULE,
-            faults,
-            "NUM_FAULT_KINDS const not found".into(),
-        ));
-        return;
-    };
-    if variants.len() as u64 != num_kinds {
-        out.push(finding(
-            RULE,
-            faults,
-            1,
-            format!(
-                "FaultKind has {} variants but NUM_FAULT_KINDS is {num_kinds}",
-                variants.len()
-            ),
-        ));
-    }
-    // The ALL array must name every variant.
-    let mut all_entries: Vec<String> = Vec::new();
-    for_each_seq(&faults.trees, &mut |seq| {
+    let mut uses_all = false;
+    for_each_seq(&deg.trees, &mut |seq| {
         for (i, t) in seq.iter().enumerate() {
-            if t.is_ident("ALL") {
-                for later in &seq[i + 1..] {
-                    if later.is_punct(";") {
-                        break;
-                    }
-                    if later.is_group('[') && later.children().iter().any(|c| c.is_punct(",")) {
-                        let kids = later.children();
-                        for (j, k) in kids.iter().enumerate() {
-                            let named = k.is_punct("::")
-                                && j + 1 < kids.len()
-                                && matches!(&kids[j + 1], Tree::Leaf(tok)
-                                    if tok.kind == TokKind::Ident);
-                            if named {
-                                // bound: j + 1 < kids.len() checked above
-                                all_entries.push(kids[j + 1].text().to_string());
-                            }
-                        }
-                    }
-                }
+            if t.is_ident("FaultPlan")
+                && seq.get(i + 1).is_some_and(|n| n.is_punct("::"))
+                && seq.get(i + 2).is_some_and(|n| n.is_ident("all"))
+            {
+                uses_all = true;
             }
         }
     });
-    check_covers(RULE, faults, "FaultKind::ALL", &all_entries, &variants, out);
-    // name() and the simulator's apply_faults must match every kind.
-    let name_ids = fn_bodies(&faults.trees, "name")
-        .first()
-        .map(|(_, b)| idents(b))
-        .unwrap_or_default();
-    check_covers(RULE, faults, "FaultKind::name()", &name_ids, &variants, out);
-    // Per-kind counter arrays must be sized by NUM_FAULT_KINDS.
-    if let Some(stats_body) = item_body(&faults.trees, "struct", "FaultStats") {
-        let stats_src = idents(stats_body);
-        for arr in ["injected_by_kind", "landed_by_kind"] {
-            if !stats_src.contains(&arr.to_string()) {
-                out.push(finding(
-                    RULE,
-                    faults,
-                    1,
-                    format!("FaultStats is missing per-kind array `{arr}`"),
-                ));
-            }
-        }
-        let sized = stats_src.iter().filter(|s| *s == "NUM_FAULT_KINDS").count();
-        if sized < 2 {
-            out.push(finding(
-                RULE,
-                faults,
-                1,
-                "FaultStats per-kind arrays are not sized by NUM_FAULT_KINDS".to_string(),
-            ));
-        }
-    } else {
-        out.push(broken(RULE, faults, "struct FaultStats not found".into()));
-    }
-    if let Some(sim) = ws.get("crates/processor/src/simulator.rs") {
-        let apply_ids = fn_bodies(&sim.trees, "apply_faults")
-            .first()
-            .map(|(_, b)| idents(b))
-            .unwrap_or_default();
-        check_covers(RULE, sim, "apply_faults", &apply_ids, &variants, out);
-    }
-    // Chaos coverage: the degradation experiment must schedule every
-    // kind (FaultPlan::all), not a hand-picked subset.
-    if let Some(deg) = ws.get("crates/experiments/src/degradation.rs") {
-        let mut uses_all = false;
-        for_each_seq(&deg.trees, &mut |seq| {
-            for (i, t) in seq.iter().enumerate() {
-                if t.is_ident("FaultPlan")
-                    && seq.get(i + 1).is_some_and(|n| n.is_punct("::"))
-                    && seq.get(i + 2).is_some_and(|n| n.is_ident("all"))
-                {
-                    uses_all = true;
-                }
-            }
-        });
-        if !uses_all {
-            out.push(finding(
-                RULE,
-                deg,
-                1,
-                "degradation experiment no longer sweeps all fault kinds (FaultPlan::all)"
-                    .to_string(),
-            ));
-        }
-    }
-}
-
-/// Emits a finding for every `variant` missing from `ids`.
-fn check_covers(
-    rule: &'static str,
-    file: &SourceFile,
-    what: &str,
-    ids: &[String],
-    variants: &[String],
-    out: &mut Vec<Finding>,
-) {
-    if ids.is_empty() {
-        out.push(broken(rule, file, format!("{what} not found")));
-        return;
-    }
-    for v in variants {
-        if !ids.contains(v) {
-            out.push(finding(
-                rule,
-                file,
-                1,
-                format!("{what} does not cover FaultKind::{v}"),
-            ));
-        }
+    if !uses_all {
+        out.push(finding(
+            "conf-faultkind",
+            deg,
+            1,
+            "degradation experiment no longer sweeps all fault kinds (FaultPlan::all)".to_string(),
+        ));
     }
 }
 
@@ -654,24 +309,6 @@ mod tests {
     }
 
     #[test]
-    fn const_and_struct_extraction() {
-        let f = file(
-            "x.rs",
-            "pub const N: usize = 9;\npub struct S { pub a: u64, #[doc = \"d\"] pub b: [u64; N] }",
-        );
-        assert_eq!(const_value(&f, "N"), Some(9));
-        let body = item_body(&f.trees, "struct", "S").unwrap();
-        assert_eq!(struct_fields(body), ["a", "b"]);
-    }
-
-    #[test]
-    fn enum_variant_extraction_skips_discriminants() {
-        let f = file("x.rs", "enum E { #[doc = \"x\"] A = 0, B = 1, C, }");
-        let body = item_body(&f.trees, "enum", "E").unwrap();
-        assert_eq!(enum_variants(body), ["A", "B", "C"]);
-    }
-
-    #[test]
     fn embedded_and_match_arm_strings() {
         let f = file(
             "x.rs",
@@ -686,53 +323,15 @@ mod tests {
     }
 
     #[test]
-    fn word_count_mismatch_is_flagged() {
-        let sim = file(
-            "crates/processor/src/simulator.rs",
-            "pub struct SimStats { pub a: u64, pub faults: F }\n\
-             impl SimStats { pub const WORDS: usize = 5;\n\
-             pub fn to_words(&self) -> Vec<u64> { let mut w = Vec::new();\n\
-             w.extend([self.a]); w.extend(self.faults.injected_by_kind); w }\n\
-             pub fn from_words(words: &[u64]) -> Option<SimStats> { let a = 0; let faults = 0; None } }",
-        );
-        let faults = file(
-            "crates/core/src/faults.rs",
-            "pub const NUM_FAULT_KINDS: usize = 2;",
-        );
-        let ws = Workspace {
-            files: vec![sim, faults],
-        };
-        let mut out = Vec::new();
-        simstats_codec(&ws, &mut out);
-        // 1 (array) + 2 (by-kind) = 3 != 5.
-        assert!(
-            out.iter().any(|f| f.msg.contains("encodes 3 words")),
-            "{out:?}"
-        );
-    }
-
-    #[test]
-    fn missing_codec_field_is_flagged() {
-        let sim = file(
-            "crates/processor/src/simulator.rs",
-            "pub struct SimStats { pub a: u64, pub b: u64 }\n\
-             impl SimStats { pub const WORDS: usize = 2;\n\
-             pub fn to_words(&self) -> Vec<u64> { let mut w = Vec::new(); w.extend([self.a, self.b]); w }\n\
-             pub fn from_words(words: &[u64]) -> Option<SimStats> { let a = 0; None } }",
-        );
-        let faults = file(
-            "crates/core/src/faults.rs",
-            "pub const NUM_FAULT_KINDS: usize = 2;",
-        );
-        let ws = Workspace {
-            files: vec![sim, faults],
-        };
-        let mut out = Vec::new();
-        simstats_codec(&ws, &mut out);
-        assert!(out
-            .iter()
-            .any(|f| f.msg.contains("`b` is not encoded by from_words")));
-        assert!(!out.iter().any(|f| f.msg.contains("`a` is not encoded")));
+    fn degradation_must_sweep_every_fault_kind() {
+        let path = "crates/experiments/src/degradation.rs";
+        let good = file(path, "fn f() { let p = FaultPlan::all(1, 40); }");
+        let bad = file(path, "fn f() { let p = FaultPlan::only(k, 1, 40); }");
+        for (f, findings) in [(good, 0), (bad, 1)] {
+            let mut out = Vec::new();
+            faultkind(&Workspace { files: vec![f] }, &mut out);
+            assert_eq!(out.len(), findings, "{out:?}");
+        }
     }
 
     #[test]

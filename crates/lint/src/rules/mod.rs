@@ -7,8 +7,8 @@
 //!   arithmetic) that scan token trees of one file at a time, scoped
 //!   by path; and
 //! * **cross-file conformance passes** that extract facts from
-//!   several files (struct fields, codec word counts, enum variants,
-//!   protocol string literals, CLI flags) and compare them.
+//!   several files (fault-plan coverage, protocol string literals,
+//!   CLI flags, frontend impls) and compare them.
 
 pub mod arith;
 pub mod conformance;
@@ -28,7 +28,6 @@ pub const RULE_IDS: &[&str] = &[
     "panic-path",
     "panic-index",
     "hot-arith",
-    "conf-simstats-codec",
     "conf-faultkind",
     "conf-protocol",
     "conf-jobs-flag",

@@ -15,6 +15,22 @@ pub struct DataCacheStats {
     pub writebacks: u64,
 }
 
+impl DataCacheStats {
+    /// Visits every counter in checkpoint-word order. The exhaustive
+    /// destructuring makes an unvisited new field a compile error.
+    pub fn visit_words(&mut self, f: &mut impl FnMut(&mut u64)) {
+        let DataCacheStats {
+            loads,
+            stores,
+            misses,
+            writebacks,
+        } = self;
+        for w in [loads, stores, misses, writebacks] {
+            f(w);
+        }
+    }
+}
+
 /// A write-back, write-allocate data cache (64 KB, 4-way, 64-byte
 /// lines, 2-cycle hit by default) backed by a perfect 10-cycle L2.
 ///

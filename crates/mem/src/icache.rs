@@ -74,6 +74,27 @@ impl IcacheStats {
     pub fn total_misses(&self) -> u64 {
         self.demand_misses + self.precon_misses
     }
+
+    /// Visits every counter in checkpoint-word order. The exhaustive
+    /// destructuring makes an unvisited new field a compile error.
+    pub fn visit_words(&mut self, f: &mut impl FnMut(&mut u64)) {
+        let IcacheStats {
+            demand_accesses,
+            demand_misses,
+            precon_accesses,
+            precon_misses,
+            demand_hits_on_precon_lines,
+        } = self;
+        for w in [
+            demand_accesses,
+            demand_misses,
+            precon_accesses,
+            precon_misses,
+            demand_hits_on_precon_lines,
+        ] {
+            f(w);
+        }
+    }
 }
 
 /// The instruction cache (64 KB, 4-way, 64-byte lines by default)

@@ -347,9 +347,7 @@ fn run_attempt(
         };
         let max_cycles = budget.max_cycles(opts.warmup + opts.measure);
         let mut sim = Simulator::new(&cell.program, cell.config.clone());
-        sim.run_budgeted(opts.warmup, max_cycles)?;
-        sim.reset_stats();
-        Ok(sim.run_budgeted(opts.measure, max_cycles)?)
+        Ok(sim.run_with_warmup_budgeted(opts.warmup, opts.measure, max_cycles)?)
     })
 }
 

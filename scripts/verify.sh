@@ -18,19 +18,23 @@ echo "== cargo fmt --check =="
 cargo fmt --check
 
 echo "== self-hosted lint gate (tpc_lint: determinism/panic/conformance rules) =="
-# Parses the workspace's own source and enforces what clippy cannot:
-# no unordered collections, wall clocks, or thread identity in result
-# paths; panic hygiene in supervised worker/daemon code; SimStats
-# codec / FaultKind / service-protocol / --jobs / frontend-matrix
-# conformance. Fails on
-# any unallowlisted finding or stale allowlist entry; every allowlist
-# entry (printed below) carries a written justification. Per-rule
-# counts land in BENCH_lint.json.
+# Parses the workspace's own source and enforces what neither clippy
+# nor the type checker can: no unordered collections, wall clocks, or
+# thread identity in result paths; panic hygiene in supervised
+# worker/daemon code; all-kinds degradation coverage, service-protocol,
+# --jobs and frontend-matrix conformance. (The SimStats codec and the
+# FaultKind list are compiler-checked.) Fails on any unallowlisted
+# finding or stale allowlist entry; every allowlist entry (printed
+# below) carries a written justification. Per-rule counts land in
+# BENCH_lint.json.
 cargo run -p tpc-lint --release --offline --bin tpc_lint -- \
   --list-allow --json BENCH_lint.json
 
 echo "== workspace test suite (analyzer, oracle, experiments) =="
 cargo test -q --offline --workspace
+
+echo "== perfbench tests (the benchmark builds against the public simulator API) =="
+cargo test --offline --manifest-path perfbench/Cargo.toml
 
 echo "== differential fuzz, 10s budget, fixed seed =="
 # Every differential run lints the program and checks engine
