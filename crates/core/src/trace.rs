@@ -261,10 +261,16 @@ pub enum PushResult {
 /// outcome — from the dynamic stream on the fill path, from bias
 /// following during preconstruction) and feeds instructions one at a
 /// time via [`TraceBuilder::push`].
+///
+/// The instructions accumulate in an inline [`MAX_TRACE_LEN`] array,
+/// so a builder allocates nothing until [`PushResult::Complete`]
+/// copies them into the trace's shared storage, and forking a
+/// builder (the constructors' branch decision points) is a memcpy.
 #[derive(Debug, Clone)]
 pub struct TraceBuilder {
     start: Addr,
-    instrs: Vec<TraceInstr>,
+    instrs: [TraceInstr; MAX_TRACE_LEN],
+    len: usize,
     outcomes: u16,
     branch_count: u8,
     last_backward_branch: Option<usize>,
@@ -278,7 +284,11 @@ impl TraceBuilder {
     pub fn new(start: Addr) -> Self {
         TraceBuilder {
             start,
-            instrs: Vec::with_capacity(MAX_TRACE_LEN),
+            instrs: [TraceInstr {
+                pc: Addr::ZERO,
+                op: Op::Nop,
+            }; MAX_TRACE_LEN],
+            len: 0,
             outcomes: 0,
             branch_count: 0,
             last_backward_branch: None,
@@ -289,12 +299,12 @@ impl TraceBuilder {
 
     /// Instructions accepted so far.
     pub fn len(&self) -> usize {
-        self.instrs.len()
+        self.len
     }
 
     /// Whether no instruction has been accepted yet.
     pub fn is_empty(&self) -> bool {
-        self.instrs.is_empty()
+        self.len == 0
     }
 
     /// Feeds the next instruction on the path.
@@ -310,13 +320,14 @@ impl TraceBuilder {
     /// Panics if called after the trace completed (in debug builds),
     /// or if a conditional branch is fed without its resolution.
     pub fn push(&mut self, pc: Addr, op: Op, resolved: Resolution) -> PushResult {
-        debug_assert!(self.instrs.len() < MAX_TRACE_LEN, "trace already complete");
+        debug_assert!(self.len < MAX_TRACE_LEN, "trace already complete");
         debug_assert!(
-            !self.instrs.is_empty() || pc == self.start,
+            self.len > 0 || pc == self.start,
             "first instruction must sit at the trace start"
         );
-        self.instrs.push(TraceInstr { pc, op });
-        let idx = self.instrs.len() - 1;
+        let idx = self.len;
+        self.instrs[idx] = TraceInstr { pc, op };
+        self.len += 1;
 
         let mut next: Option<Addr> = Some(pc.next());
         match op.class() {
@@ -367,7 +378,7 @@ impl TraceBuilder {
             }
             _ => {}
         }
-        if self.instrs.len() == MAX_TRACE_LEN {
+        if self.len == MAX_TRACE_LEN {
             return PushResult::Complete(self.complete(TraceStop::Full, next));
         }
         if let Some(p) = self.last_backward_branch {
@@ -389,7 +400,8 @@ impl TraceBuilder {
         } else {
             TraceEnd::Fallthrough
         };
-        let instrs: Arc<[TraceInstr]> = std::mem::take(&mut self.instrs).into();
+        let instrs: Arc<[TraceInstr]> = Arc::from(&self.instrs[..self.len]);
+        self.len = 0;
         let key = TraceKey {
             start: instrs.first().expect("complete() only after a push").pc,
             branch_count: self.branch_count,

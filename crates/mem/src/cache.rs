@@ -66,13 +66,15 @@ struct Entry {
     key: u64,
     stamp: u64,
     valid: bool,
+    dirty: bool,
 }
 
 /// A set-associative LRU tag array over opaque `u64` keys.
 ///
-/// This models only presence (tags), not payloads — payload storage
-/// belongs to the structure embedding it. Keys map to sets by their
-/// low bits; the full key is the tag.
+/// This models only presence (tags) plus a per-entry dirty bit for
+/// write-back structures, not payloads — payload storage belongs to
+/// the structure embedding it. Keys map to sets by their low bits;
+/// the full key is the tag.
 ///
 /// ```
 /// use tpc_mem::{CacheGeometry, SetAssocCache};
@@ -97,7 +99,8 @@ impl SetAssocCache {
                 Entry {
                     key: 0,
                     stamp: 0,
-                    valid: false
+                    valid: false,
+                    dirty: false,
                 };
                 geometry.entries() as usize
             ],
@@ -118,12 +121,19 @@ impl SetAssocCache {
 
     /// Looks up `key`, updating LRU state on a hit.
     pub fn access(&mut self, key: u64) -> bool {
+        self.access_marking(key, false)
+    }
+
+    /// [`SetAssocCache::access`] that also sets the entry's dirty
+    /// bit on a hit when `dirty`.
+    pub fn access_marking(&mut self, key: u64, dirty: bool) -> bool {
         self.clock += 1;
         let clock = self.clock;
         let range = self.set_range(key);
         for e in &mut self.entries[range] {
             if e.valid && e.key == key {
                 e.stamp = clock;
+                e.dirty |= dirty;
                 return true;
             }
         }
@@ -141,6 +151,12 @@ impl SetAssocCache {
     /// Returns the evicted key, if any. Filling an already-present
     /// key refreshes its LRU stamp and evicts nothing.
     pub fn fill(&mut self, key: u64) -> Option<u64> {
+        self.fill_marking(key, false).map(|(evicted, _)| evicted)
+    }
+
+    /// [`SetAssocCache::fill`] that sets the entry's dirty bit when
+    /// `dirty`, and returns the evicted key with its dirty bit.
+    pub fn fill_marking(&mut self, key: u64, dirty: bool) -> Option<(u64, bool)> {
         self.clock += 1;
         let clock = self.clock;
         let range = self.set_range(key);
@@ -148,17 +164,20 @@ impl SetAssocCache {
         for e in &mut self.entries[range.clone()] {
             if e.valid && e.key == key {
                 e.stamp = clock;
+                e.dirty |= dirty;
                 return None;
             }
         }
+        let fresh = Entry {
+            key,
+            stamp: clock,
+            valid: true,
+            dirty,
+        };
         // Free way?
         for e in &mut self.entries[range.clone()] {
             if !e.valid {
-                *e = Entry {
-                    key,
-                    stamp: clock,
-                    valid: true,
-                };
+                *e = fresh;
                 return None;
             }
         }
@@ -167,12 +186,8 @@ impl SetAssocCache {
             .iter_mut()
             .min_by_key(|e| e.stamp)
             .expect("ways > 0");
-        let evicted = victim.key;
-        *victim = Entry {
-            key,
-            stamp: clock,
-            valid: true,
-        };
+        let evicted = (victim.key, victim.dirty);
+        *victim = fresh;
         Some(evicted)
     }
 

@@ -37,10 +37,10 @@ impl DataCacheStats {
 /// The simulator models the paper's four-port constraint (any single
 /// processing element uses at most two ports per cycle) in the
 /// backend scheduler; this structure models hit/miss latency only.
+/// Dirty lines are tracked by the tag array's per-entry dirty bit.
 #[derive(Debug, Clone)]
 pub struct DataCache {
     tags: SetAssocCache,
-    dirty: std::collections::BTreeSet<u64>,
     hit_latency: u32,
     l2_latency: u32,
     stats: DataCacheStats,
@@ -60,7 +60,6 @@ impl DataCache {
     pub fn with_params(size_bytes: u32, ways: u32, hit_latency: u32, l2_latency: u32) -> Self {
         DataCache {
             tags: SetAssocCache::new(CacheGeometry::with_entries(size_bytes / 64, ways)),
-            dirty: std::collections::BTreeSet::new(),
             hit_latency,
             l2_latency,
             stats: DataCacheStats::default(),
@@ -85,17 +84,12 @@ impl DataCache {
 
     fn access(&mut self, byte_addr: u64, is_store: bool) -> u32 {
         let line = Self::line(byte_addr);
-        let hit = self.tags.access(line);
+        let hit = self.tags.access_marking(line, is_store);
         if !hit {
             self.stats.misses += 1;
-            if let Some(evicted) = self.tags.fill(line) {
-                if self.dirty.remove(&evicted) {
-                    self.stats.writebacks += 1;
-                }
+            if let Some((_, true)) = self.tags.fill_marking(line, is_store) {
+                self.stats.writebacks += 1;
             }
-        }
-        if is_store {
-            self.dirty.insert(line);
         }
         if hit {
             self.hit_latency

@@ -1,16 +1,21 @@
-//! Property test: `SetAssocCache` agrees with an executable
-//! reference model (per-set LRU lists) on arbitrary operation
-//! sequences.
-#![cfg(feature = "proptest-tests")]
+//! Property tests: `SetAssocCache` agrees with an executable
+//! reference model (per-set LRU lists plus a set of dirty keys) on
+//! seeded random operation sequences, and `DataCache` counts the
+//! misses and writebacks of a reference write-back cache built on
+//! that model.
 
-use proptest::prelude::*;
-use std::collections::VecDeque;
-use tpc_mem::{CacheGeometry, SetAssocCache};
+use std::collections::{BTreeSet, VecDeque};
+use tpc_isa::model::XorShift64;
+use tpc_mem::{CacheGeometry, DataCache, SetAssocCache};
 
-/// Straightforward reference: one MRU-ordered list per set.
+const CASES: u32 = 256;
+
+/// Straightforward reference: one MRU-ordered list per set, and the
+/// dirty keys in a separate set.
 struct RefCache {
     sets: Vec<VecDeque<u64>>,
     ways: usize,
+    dirty: BTreeSet<u64>,
 }
 
 impl RefCache {
@@ -18,6 +23,7 @@ impl RefCache {
         RefCache {
             sets: (0..sets).map(|_| VecDeque::new()).collect(),
             ways: ways as usize,
+            dirty: BTreeSet::new(),
         }
     }
 
@@ -25,40 +31,52 @@ impl RefCache {
         (key % self.sets.len() as u64) as usize
     }
 
-    fn access(&mut self, key: u64) -> bool {
+    fn touch(&mut self, key: u64) -> bool {
         let set = self.set_of(key);
         let list = &mut self.sets[set];
-        if let Some(pos) = list.iter().position(|&k| k == key) {
-            let k = list.remove(pos).expect("found above");
-            list.push_front(k);
-            true
-        } else {
-            false
+        match list.iter().position(|&k| k == key) {
+            Some(pos) => {
+                let k = list.remove(pos).expect("found above");
+                list.push_front(k);
+                true
+            }
+            None => false,
         }
+    }
+
+    fn access(&mut self, key: u64, dirty: bool) -> bool {
+        let hit = self.touch(key);
+        if hit && dirty {
+            self.dirty.insert(key);
+        }
+        hit
     }
 
     fn probe(&self, key: u64) -> bool {
         self.sets[self.set_of(key)].contains(&key)
     }
 
-    fn fill(&mut self, key: u64) -> Option<u64> {
+    fn fill(&mut self, key: u64, dirty: bool) -> Option<(u64, bool)> {
+        if dirty {
+            self.dirty.insert(key);
+        }
+        if self.touch(key) {
+            return None;
+        }
         let ways = self.ways;
         let set = self.set_of(key);
         let list = &mut self.sets[set];
-        if let Some(pos) = list.iter().position(|&k| k == key) {
-            let k = list.remove(pos).expect("found above");
-            list.push_front(k);
-            return None;
-        }
         list.push_front(key);
         if list.len() > ways {
-            list.pop_back()
+            let evicted = list.pop_back().expect("over capacity");
+            Some((evicted, self.dirty.remove(&evicted)))
         } else {
             None
         }
     }
 
     fn invalidate(&mut self, key: u64) -> bool {
+        self.dirty.remove(&key);
         let set = self.set_of(key);
         let list = &mut self.sets[set];
         match list.iter().position(|&k| k == key) {
@@ -71,50 +89,117 @@ impl RefCache {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum Cmd {
-    Access(u64),
+    Access(u64, bool),
     Probe(u64),
-    Fill(u64),
+    Fill(u64, bool),
     Invalidate(u64),
 }
 
-fn cmds() -> impl Strategy<Value = Vec<Cmd>> {
-    prop::collection::vec(
-        (0u64..64, 0u8..4).prop_map(|(k, op)| match op {
-            0 => Cmd::Access(k),
-            1 => Cmd::Probe(k),
-            2 => Cmd::Fill(k),
-            _ => Cmd::Invalidate(k),
-        }),
-        0..300,
-    )
+fn cmds(rng: &mut XorShift64) -> Vec<Cmd> {
+    let n = rng.next_below(300);
+    (0..n)
+        .map(|_| {
+            let k = u64::from(rng.next_below(64));
+            let dirty = rng.chance(1, 3);
+            match rng.next_below(4) {
+                0 => Cmd::Access(k, dirty),
+                1 => Cmd::Probe(k),
+                2 => Cmd::Fill(k, dirty),
+                _ => Cmd::Invalidate(k),
+            }
+        })
+        .collect()
 }
 
-proptest! {
-    #[test]
-    fn set_assoc_matches_reference(ops in cmds(), sets_pow in 0u32..4, ways in 1u32..5) {
-        let sets = 1 << sets_pow;
+#[test]
+fn set_assoc_matches_reference() {
+    let mut rng = XorShift64::new(0xCAC4_E5EE);
+    for case in 0..CASES {
+        let sets = 1 << rng.next_below(4);
+        let ways = rng.next_in(1, 4);
+        let ops = cmds(&mut rng);
         let mut dut = SetAssocCache::new(CacheGeometry::new(sets, ways));
         let mut reference = RefCache::new(sets, ways);
-        for (i, cmd) in ops.iter().enumerate() {
-            match *cmd {
-                Cmd::Access(k) => {
-                    prop_assert_eq!(dut.access(k), reference.access(k), "access #{} key {}", i, k);
+        for (i, &cmd) in ops.iter().enumerate() {
+            let at = format!("case {case} ({sets}x{ways}), op #{i} {cmd:?}");
+            match cmd {
+                // The unmarked calls are the clean case of the marking ones.
+                Cmd::Access(k, false) => {
+                    assert_eq!(dut.access(k), reference.access(k, false), "{at}")
                 }
-                Cmd::Probe(k) => {
-                    prop_assert_eq!(dut.probe(k), reference.probe(k), "probe #{} key {}", i, k);
+                Cmd::Access(k, true) => {
+                    assert_eq!(
+                        dut.access_marking(k, true),
+                        reference.access(k, true),
+                        "{at}"
+                    );
                 }
-                Cmd::Fill(k) => {
-                    prop_assert_eq!(dut.fill(k), reference.fill(k), "fill #{} key {}", i, k);
+                Cmd::Probe(k) => assert_eq!(dut.probe(k), reference.probe(k), "{at}"),
+                Cmd::Fill(k, false) => {
+                    let expected = reference.fill(k, false).map(|(evicted, _)| evicted);
+                    assert_eq!(dut.fill(k), expected, "{at}");
+                }
+                Cmd::Fill(k, true) => {
+                    assert_eq!(dut.fill_marking(k, true), reference.fill(k, true), "{at}");
                 }
                 Cmd::Invalidate(k) => {
-                    prop_assert_eq!(dut.invalidate(k), reference.invalidate(k), "inv #{} key {}", i, k);
+                    assert_eq!(dut.invalidate(k), reference.invalidate(k), "{at}");
                 }
             }
         }
         // Final occupancy agrees too.
         let ref_occ: usize = reference.sets.iter().map(|l| l.len()).sum();
-        prop_assert_eq!(dut.occupancy(), ref_occ);
+        assert_eq!(dut.occupancy(), ref_occ, "case {case}");
     }
+}
+
+/// The write-back, write-allocate data cache against the reference:
+/// every access misses exactly when the reference misses (allocating
+/// on a miss), and a writeback happens exactly when an evicted line
+/// is in the reference's dirty set.
+#[test]
+fn data_cache_matches_reference_write_back_cache() {
+    let mut rng = XorShift64::new(0xD1A7_5EED);
+    let mut total_writebacks = 0;
+    for case in 0..CASES {
+        let ways = 1 << rng.next_below(3);
+        let sets = 1 << rng.next_below(3);
+        let (hit_latency, l2_latency) = (2, 10);
+        let mut dut = DataCache::with_params(sets * ways * 64, ways, hit_latency, l2_latency);
+        let mut reference = RefCache::new(sets, ways);
+        let (mut misses, mut writebacks) = (0, 0);
+        for i in 0..rng.next_below(400) {
+            let addr = u64::from(rng.next_below(64 * 64));
+            let is_store = rng.chance(1, 3);
+            let line = addr / 64;
+            let hit = reference.touch(line);
+            if !hit {
+                misses += 1;
+                if let Some((_, true)) = reference.fill(line, false) {
+                    writebacks += 1;
+                }
+            }
+            if is_store {
+                reference.dirty.insert(line);
+            }
+            let latency = if is_store {
+                dut.store(addr)
+            } else {
+                dut.load(addr)
+            };
+            let expected = if hit {
+                hit_latency
+            } else {
+                hit_latency + l2_latency
+            };
+            let at = format!("case {case} ({sets}x{ways}), access #{i} at {addr:#x}");
+            assert_eq!(latency, expected, "{at}");
+            assert_eq!(dut.stats().misses, misses, "{at}");
+            assert_eq!(dut.stats().writebacks, writebacks, "{at}");
+        }
+        total_writebacks += writebacks;
+    }
+    assert!(total_writebacks > 0, "the cases exercise dirty evictions");
 }

@@ -16,7 +16,8 @@
 //! * data-cache latency — 2-cycle hits, +10-cycle perfect L2.
 
 use crate::stream::DynTrace;
-use tpc_core::preprocess::{latency::op_latency, trace_deps};
+use tpc_core::preprocess::latency::op_latency;
+use tpc_core::MAX_TRACE_LEN;
 use tpc_isa::OpClass;
 use tpc_mem::DataCache;
 
@@ -54,17 +55,18 @@ pub struct TraceTiming {
     pub pe: usize,
     /// Cycle the last instruction finished executing.
     pub complete: u64,
-    /// Execution-finish cycle of each conditional branch, in trace
-    /// order.
-    pub branch_resolves: Vec<u64>,
-    /// The latest branch resolution (equals `complete` for branchless
-    /// traces — the point at which "this trace's path is confirmed").
+    /// The latest conditional-branch resolution (equals `complete`
+    /// for branchless traces — the point at which "this trace's path
+    /// is confirmed").
     pub last_resolve: u64,
+    /// Number of instructions: the valid prefix of `exec_start` and
+    /// `exec_done`.
+    pub len: usize,
     /// Cycle each instruction began executing (trace order) — kept
     /// for timing validation and pipeline visualization.
-    pub exec_start: Vec<u64>,
+    pub exec_start: [u64; MAX_TRACE_LEN],
     /// Cycle each instruction finished executing (trace order).
-    pub exec_done: Vec<u64>,
+    pub exec_done: [u64; MAX_TRACE_LEN],
 }
 
 /// Ring-buffer counter of per-cycle resource usage.
@@ -184,72 +186,81 @@ impl Backend {
         dispatch_cycle: u64,
         use_preprocess: bool,
     ) -> TraceTiming {
+        /// Issue order of a trace without preprocessing annotations.
+        const PROGRAM_ORDER: [u8; MAX_TRACE_LEN] =
+            [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15];
+
         let pe = self.claim_pe(dispatch_cycle);
-        let n = dt.trace.len();
         let instrs = dt.trace.instrs();
+        let n = instrs.len();
         let info = if use_preprocess {
             dt.trace.preprocess_info()
         } else {
             None
         };
+        let earliest = dispatch_cycle + 1;
 
-        let raw_deps;
-        let deps: &[Vec<u8>] = match info {
-            Some(i) => &i.deps,
-            None => {
-                raw_deps = trace_deps(&dt.trace);
-                &raw_deps
-            }
-        };
-        let order: Vec<u8> = match info {
-            Some(i) => i.schedule.clone(),
-            None => (0..n as u8).collect(),
-        };
-        let folded = |i: usize| info.map(|inf| inf.const_folded[i]).unwrap_or(false);
-
-        // done[i]: last execution cycle of instruction i.
-        let mut done = vec![0u64; n];
-        let mut started = vec![0u64; n];
-        let mut last_writer: [Option<usize>; tpc_isa::NUM_REGS] = [None; tpc_isa::NUM_REGS];
-        // Pre-compute each instruction's intra-trace writer map in
-        // program order (identifies which sources are external).
-        let mut external_srcs: Vec<Vec<tpc_isa::Reg>> = Vec::with_capacity(n);
+        // One decode pass in program order: each instruction's class,
+        // its intra-trace producers as a bit mask (the last writer of
+        // each source), and the cycle its values from earlier traces
+        // are ready — sources with no writer in the trace read the
+        // published register state, paying the bus delay when the
+        // producer ran on another PE.
+        let mut class = [OpClass::Nop; MAX_TRACE_LEN];
+        let mut deps = [0u16; MAX_TRACE_LEN];
+        let mut ext_ready = [earliest; MAX_TRACE_LEN];
+        let mut last_writer: [Option<u8>; tpc_isa::NUM_REGS] = [None; tpc_isa::NUM_REGS];
         for (i, ti) in instrs.iter().enumerate() {
-            let ext = ti
-                .op
-                .sources()
-                .iter()
-                .filter(|s| last_writer[s.index()].is_none())
-                .collect();
-            external_srcs.push(ext);
+            class[i] = ti.op.class();
+            for src in ti.op.sources() {
+                match last_writer[src.index()] {
+                    Some(w) => deps[i] |= 1 << w,
+                    None => {
+                        let (avail, producer_pe) = self.reg_ready[src.index()];
+                        let penalty = if producer_pe == pe {
+                            0
+                        } else {
+                            self.config.bus_delay
+                        };
+                        ext_ready[i] = ext_ready[i].max(avail + penalty);
+                    }
+                }
+            }
             if let Some(rd) = ti.op.dest() {
-                last_writer[rd.index()] = Some(i);
+                last_writer[rd.index()] = Some(i as u8); // narrow: i < MAX_TRACE_LEN
             }
         }
+        let order: &[u8] = match info {
+            Some(inf) => {
+                for (mask, d) in deps.iter_mut().zip(&inf.deps) {
+                    *mask = d.iter().fold(0, |m, &j| m | 1 << j);
+                }
+                &inf.schedule
+            }
+            None => &PROGRAM_ORDER[..n],
+        };
 
-        let earliest = dispatch_cycle + 1;
-        for &oi in &order {
-            let i = oi as usize;
-            let op = &instrs[i].op;
-            let mut ready = earliest;
-            if !folded(i) {
-                for &j in &deps[i] {
+        // done[i]: last execution cycle of instruction i.
+        let mut done = [0u64; MAX_TRACE_LEN];
+        let mut started = [0u64; MAX_TRACE_LEN];
+        for &oi in order {
+            let i = usize::from(oi);
+            let ready = if info.is_some_and(|inf| inf.const_folded[i]) {
+                // Computed at fill time: no input dependences.
+                earliest
+            } else {
+                let mut ready = ext_ready[i];
+                let mut m = deps[i];
+                while m != 0 {
                     // Producer in the same trace ⇒ same PE ⇒ bypass:
                     // consumer may execute the cycle after it is done.
-                    ready = ready.max(done[j as usize] + 1);
+                    ready = ready.max(done[m.trailing_zeros() as usize] + 1);
+                    m &= m - 1;
                 }
-                for src in &external_srcs[i] {
-                    let (avail, producer_pe) = self.reg_ready[src.index()];
-                    let penalty = if producer_pe == pe {
-                        0
-                    } else {
-                        self.config.bus_delay
-                    };
-                    ready = ready.max(avail + penalty);
-                }
-            }
+                ready
+            };
 
-            let is_mem = matches!(op.class(), OpClass::Load | OpClass::Store);
+            let is_mem = matches!(class[i], OpClass::Load | OpClass::Store);
             // Find the first cycle with a free issue slot (and memory
             // port, when needed).
             let mut c = ready;
@@ -269,7 +280,7 @@ impl Backend {
                 self.mem_per_pe[pe].inc(c);
             }
 
-            let lat = match op.class() {
+            let lat = match class[i] {
                 OpClass::Load => {
                     let addr = dt.mem_addrs[i].expect("loads carry addresses");
                     op_latency(OpClass::Load) as u64 + self.dcache.load(addr) as u64
@@ -287,32 +298,25 @@ impl Backend {
             done[i] = c + lat - 1;
         }
 
-        // Publish register results for later traces.
-        let mut final_writer: [Option<usize>; tpc_isa::NUM_REGS] = [None; tpc_isa::NUM_REGS];
-        for (i, ti) in instrs.iter().enumerate() {
-            if let Some(rd) = ti.op.dest() {
-                final_writer[rd.index()] = Some(i);
-            }
-        }
-        for (r, w) in final_writer.iter().enumerate() {
+        // Publish each register's final in-trace writer for later
+        // traces.
+        for (ready, w) in self.reg_ready.iter_mut().zip(last_writer) {
             if let Some(i) = w {
-                self.reg_ready[r] = (done[*i] + 1, pe);
+                *ready = (done[usize::from(i)] + 1, pe);
             }
         }
 
-        let branch_resolves: Vec<u64> = instrs
-            .iter()
-            .enumerate()
-            .filter(|(_, ti)| ti.op.class() == OpClass::Branch)
-            .map(|(i, _)| done[i])
-            .collect();
-        let complete = done.iter().copied().max().unwrap_or(dispatch_cycle);
-        let last_resolve = branch_resolves.iter().copied().max().unwrap_or(complete);
+        let complete = done[..n].iter().copied().max().unwrap_or(dispatch_cycle);
+        let last_resolve = (0..n)
+            .filter(|&i| class[i] == OpClass::Branch)
+            .map(|i| done[i])
+            .max()
+            .unwrap_or(complete);
         TraceTiming {
             pe,
             complete,
-            branch_resolves,
             last_resolve,
+            len: n,
             exec_start: started,
             exec_done: done,
         }
@@ -355,7 +359,7 @@ mod tests {
         DynTrace {
             trace,
             mem_addrs,
-            branch_outcomes: Vec::new(),
+            branch_outcomes: Default::default(),
         }
     }
 
@@ -558,16 +562,15 @@ mod tests {
             },
             PushResult::Complete(t) => t,
         };
-        let n = trace.len();
         let dt = DynTrace {
             trace,
-            mem_addrs: vec![None; n],
-            branch_outcomes: vec![false],
+            mem_addrs: std::iter::repeat_n(None, 3).collect(),
+            branch_outcomes: [false].into_iter().collect(),
         };
         let t = be.dispatch(&dt, 0, false);
-        assert_eq!(t.branch_resolves.len(), 1);
+        assert_eq!(t.len, 3);
         // Branch depends on the addi: resolves at cycle 2.
-        assert_eq!(t.branch_resolves[0], 2);
+        assert_eq!(t.exec_done[1], 2);
         assert_eq!(t.last_resolve, 2);
     }
 

@@ -36,4 +36,4 @@ pub use simulator::{
     BudgetExceeded, FrontendBreakdown, RetiredInstr, SimConfig, SimEvent, SimStats, Simulator,
     StorageKind, SupplySource,
 };
-pub use stream::{DynTrace, TraceStream};
+pub use stream::{DynTrace, TraceStream, TraceVec};

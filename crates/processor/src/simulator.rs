@@ -1,12 +1,12 @@
 //! The full-processor simulator: frontend, backend, preconstruction.
 
-use crate::backend::{Backend, BackendConfig, TraceTiming};
-use crate::stream::{DynTrace, TraceStream};
+use crate::backend::{Backend, BackendConfig};
+use crate::stream::{DynTrace, TraceStream, TraceVec};
 use std::collections::VecDeque;
 use tpc_core::storage::{SplitStore, StoreCounters, TraceStore, UnifiedConfig, UnifiedStore};
 use tpc_core::{
     preprocess, EngineConfig, EngineFault, EngineStats, FaultKind, FaultPlan, FaultState,
-    FaultStats, PreconEngine,
+    FaultStats, PreconEngine, Trace,
 };
 use tpc_exec::{Executor, Frontend};
 use tpc_isa::{Addr, OpClass, Program};
@@ -416,8 +416,11 @@ impl FrontendBreakdown {
 #[derive(Debug)]
 struct SlowBuild {
     dt: DynTrace,
-    /// Remaining (line base, instructions in this trace on the line).
-    lines: VecDeque<(Addr, u32)>,
+    /// (line base, instructions in this trace on the line), in fetch
+    /// order.
+    lines: TraceVec<(Addr, u32)>,
+    /// Index of the next line to fetch.
+    next_line: usize,
     /// Cycle the current line fetch completes.
     busy_until: u64,
     /// Extra stall cycles charged at the end (prediction repairs).
@@ -510,14 +513,14 @@ pub struct RetiredInstr {
 /// A dispatched trace awaiting retirement.
 #[derive(Debug)]
 struct Inflight {
-    timing: TraceTiming,
-    /// (branch pc, outcome) pairs for bimodal training at retire.
-    branches: Vec<(Addr, bool)>,
-    /// Instruction addresses, for the engine's retire observation.
-    pcs: Vec<Addr>,
-    /// Per-instruction retirement records (empty unless
-    /// [`SimConfig::record_retirement`]).
-    recorded: Vec<RetiredInstr>,
+    /// The dispatched trace (shares the stream's instruction
+    /// storage); its key's outcome bits are the resolved branch
+    /// directions.
+    trace: Trace,
+    /// Processing element the trace runs on.
+    pe: usize,
+    /// Cycle its last instruction finishes executing.
+    complete: u64,
 }
 
 /// The simulator, generic over the instruction [`Frontend`]
@@ -771,19 +774,19 @@ impl<F: Frontend> Simulator<F> {
         s
     }
 
-    /// Zeroes all counters (contents of caches and predictors are
-    /// preserved).
+    /// Zeroes the simulator's own, I-cache and store counters
+    /// (contents of caches and predictors are preserved).
+    ///
+    /// The engine, D-cache and fault counters are neither reset nor
+    /// snapshot-subtracted: they keep counting from construction, so
+    /// after a reset [`Simulator::stats`] reports them over the whole
+    /// run (ROADMAP item 2). The paper's metrics (Figure 5, Tables
+    /// 1–3) all come from counters that do reset.
     pub fn reset_stats(&mut self) {
         self.retire_slack = self.inflight.len() as u64 + u64::from(self.slow_build.is_some());
         self.stats = SimStats::default();
         self.icache.reset_stats();
         self.store.reset_counters();
-        // Engine and dcache stats are cumulative; snapshot-subtract.
-        // For simplicity the engine's counters keep accumulating: the
-        // quantities derived from them (Figure 5, Tables 1–3) are all
-        // measured through the simulator's own counters, which do
-        // reset.
-        self.stats.cycles = 0;
     }
 
     /// Advances one cycle.
@@ -867,25 +870,37 @@ impl<F: Frontend> Simulator<F> {
         let Some(front) = self.inflight.front() else {
             return;
         };
-        let retire_at = front.timing.complete.max(self.last_retire_cycle + 1);
+        let retire_at = front.complete.max(self.last_retire_cycle + 1);
         if self.cycle < retire_at {
             return;
         }
         let done = self.inflight.pop_front().expect("checked front");
         self.record(SimEvent::Retire {
             cycle: self.cycle,
-            start: done.pcs.first().copied().unwrap_or(Addr::ZERO),
+            start: done.trace.start(),
         });
         self.last_retire_cycle = self.cycle;
-        self.backend.release_pe(done.timing.pe, self.cycle);
-        for (pc, taken) in &done.branches {
-            self.bimodal.update(*pc, *taken);
+        self.backend.release_pe(done.pe, self.cycle);
+        // Train the bimodal predictor, let the engine observe the
+        // retired path, and log it; branch directions come from the
+        // key's outcome bits.
+        let mut branches = 0;
+        for ti in done.trace.instrs() {
+            let mut taken = false;
+            if ti.op.class() == OpClass::Branch {
+                taken = done
+                    .trace
+                    .branch_outcome(branches)
+                    .expect("key covers branches");
+                branches += 1;
+                self.bimodal.update(ti.pc, taken);
+            }
+            self.engine.observe_retire(ti.pc);
+            if self.config.record_retirement {
+                self.retirement.push(RetiredInstr { pc: ti.pc, taken });
+            }
         }
-        for pc in &done.pcs {
-            self.engine.observe_retire(*pc);
-        }
-        self.retirement.extend_from_slice(&done.recorded);
-        self.stats.retired_instructions += done.pcs.len() as u64;
+        self.stats.retired_instructions += done.trace.len() as u64;
         self.stats.retired_traces += 1;
     }
 
@@ -974,12 +989,12 @@ impl<F: Frontend> Simulator<F> {
     /// trace's instructions live on and the prediction-repair stalls
     /// the build will incur.
     fn begin_slow_build(&mut self, dt: DynTrace) {
-        let mut lines: VecDeque<(Addr, u32)> = VecDeque::new();
+        let mut lines = TraceVec::new();
         for ti in dt.trace.instrs() {
             let base = InstrCache::line_base(ti.pc);
-            match lines.back_mut() {
+            match lines.last_mut() {
                 Some((b, n)) if *b == base => *n += 1,
-                _ => lines.push_back((base, 1)),
+                _ => lines.push((base, 1)),
             }
         }
         // Prediction repairs while following the path: every bimodal
@@ -1016,6 +1031,7 @@ impl<F: Frontend> Simulator<F> {
         self.slow_build = Some(SlowBuild {
             dt,
             lines,
+            next_line: 0,
             busy_until: self.cycle,
             tail_stall,
         });
@@ -1027,7 +1043,8 @@ impl<F: Frontend> Simulator<F> {
         if self.cycle < build.busy_until {
             return;
         }
-        if let Some((base, count)) = build.lines.pop_front() {
+        if let Some(&(base, count)) = build.lines.get(build.next_line) {
+            build.next_line += 1;
             let res = self.icache.fetch(base, AccessKind::Demand);
             self.stats.slow_path_lines += 1;
             if !res.hit {
@@ -1055,8 +1072,11 @@ impl<F: Frontend> Simulator<F> {
     /// Dispatches a trace to the backend and the preconstruction
     /// engine's dispatch observer.
     fn dispatch(&mut self, dt: DynTrace) {
-        // RAS maintenance for trace-cache-supplied traces (slow-path
-        // builds already popped their returns during the build).
+        // RAS maintenance for every dispatched trace. A slow-path
+        // build already pushed its calls and popped its returns in
+        // `begin_slow_build`, so its trace updates the RAS twice — a
+        // known model bug (ROADMAP item 2). Fixing it moves counters,
+        // so it is left for a change of its own.
         for ti in dt.trace.instrs() {
             match ti.op.class() {
                 OpClass::Call => self.ras.push(ti.pc.next()),
@@ -1079,37 +1099,10 @@ impl<F: Frontend> Simulator<F> {
             source: self.pending_source,
         });
         self.prev_resolve = timing.last_resolve;
-        let mut outcome_iter = dt.branch_outcomes.iter();
-        let branches: Vec<(Addr, bool)> = dt
-            .trace
-            .instrs()
-            .iter()
-            .filter(|ti| ti.op.class() == OpClass::Branch)
-            .map(|ti| (ti.pc, *outcome_iter.next().expect("parallel outcomes")))
-            .collect();
-        let pcs = dt.trace.instrs().iter().map(|ti| ti.pc).collect();
-        let recorded = if self.config.record_retirement {
-            let mut outcome_iter = dt.branch_outcomes.iter();
-            dt.trace
-                .instrs()
-                .iter()
-                .map(|ti| RetiredInstr {
-                    pc: ti.pc,
-                    taken: if ti.op.class() == OpClass::Branch {
-                        *outcome_iter.next().expect("parallel outcomes")
-                    } else {
-                        false
-                    },
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
         self.inflight.push_back(Inflight {
-            timing,
-            branches,
-            pcs,
-            recorded,
+            trace: dt.trace,
+            pe: timing.pe,
+            complete: timing.complete,
         });
     }
 }

@@ -1,8 +1,84 @@
 //! The correct-path dynamic trace stream.
 
-use tpc_core::{PushResult, Resolution, Trace, TraceBuilder};
+use std::ops::{Deref, DerefMut};
+use tpc_core::{PushResult, Resolution, Trace, TraceBuilder, MAX_TRACE_LEN};
 use tpc_exec::{Executor, Frontend};
 use tpc_isa::{OpClass, Program};
+
+/// A fixed-capacity inline vector of per-instruction values of one
+/// trace, bounded by [`MAX_TRACE_LEN`]: the per-trace metadata
+/// travels with no heap allocation. Reads go through `Deref` to a
+/// slice.
+#[derive(Clone, Copy)]
+pub struct TraceVec<T> {
+    items: [T; MAX_TRACE_LEN],
+    len: u8,
+}
+
+impl<T: Copy + Default> TraceVec<T> {
+    /// An empty vector.
+    pub fn new() -> Self {
+        TraceVec {
+            items: [T::default(); MAX_TRACE_LEN],
+            len: 0,
+        }
+    }
+
+    /// Appends `value`.
+    ///
+    /// # Panics
+    ///
+    /// Panics past [`MAX_TRACE_LEN`] values.
+    pub fn push(&mut self, value: T) {
+        self.items[usize::from(self.len)] = value;
+        self.len += 1;
+    }
+}
+
+impl<T: Copy + Default> Default for TraceVec<T> {
+    fn default() -> Self {
+        TraceVec::new()
+    }
+}
+
+impl<T> Deref for TraceVec<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        &self.items[..usize::from(self.len)]
+    }
+}
+
+impl<T> DerefMut for TraceVec<T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        &mut self.items[..usize::from(self.len)]
+    }
+}
+
+impl<'a, T> IntoIterator for &'a TraceVec<T> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl<T: Copy + Default> FromIterator<T> for TraceVec<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        let mut v = TraceVec::new();
+        for x in iter {
+            v.push(x);
+        }
+        v
+    }
+}
+
+impl<T: std::fmt::Debug> std::fmt::Debug for TraceVec<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
 
 /// One dynamic trace instance: the trace (as the caches would store
 /// it) plus per-instruction dynamic metadata the timing model needs.
@@ -12,10 +88,10 @@ pub struct DynTrace {
     pub trace: Trace,
     /// Effective byte address of each load/store (`None` otherwise),
     /// parallel to `trace.instrs()`.
-    pub mem_addrs: Vec<Option<u64>>,
+    pub mem_addrs: TraceVec<Option<u64>>,
     /// Resolved direction of each *conditional branch*, in trace
     /// order (parallel to the trace key's outcome bits).
-    pub branch_outcomes: Vec<bool>,
+    pub branch_outcomes: TraceVec<bool>,
 }
 
 impl DynTrace {
@@ -81,8 +157,8 @@ impl<F: Frontend> TraceStream<F> {
     pub fn next_trace(&mut self) -> DynTrace {
         let start = self.next_start;
         let mut b = TraceBuilder::new(start);
-        let mut mem_addrs = Vec::new();
-        let mut branch_outcomes = Vec::new();
+        let mut mem_addrs = TraceVec::new();
+        let mut branch_outcomes = TraceVec::new();
         loop {
             let d = self.fe.next_retired();
             self.next_start = d.next_pc;
@@ -117,7 +193,6 @@ impl<F: Frontend> TraceStream<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tpc_core::MAX_TRACE_LEN;
     use tpc_workloads::{Benchmark, WorkloadBuilder};
 
     #[test]

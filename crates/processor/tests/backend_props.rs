@@ -1,87 +1,68 @@
 //! Property tests over the backend scheduler: every computed
 //! schedule must respect the machine's structural and dataflow
-//! constraints, for arbitrary traces.
-#![cfg(feature = "proptest-tests")]
+//! constraints, for seeded random traces.
 
-use proptest::prelude::*;
-use tpc_core::preprocess::{latency::op_latency, trace_deps};
+use std::collections::BTreeMap;
+use tpc_core::preprocess::{latency::op_latency, preprocess, trace_deps};
 use tpc_core::{PushResult, Resolution, TraceBuilder};
-use tpc_isa::{Addr, Op, OpClass, Reg};
+use tpc_isa::model::XorShift64;
+use tpc_isa::{Addr, Op, OpClass, Reg, NUM_REGS};
 use tpc_processor::backend::{Backend, BackendConfig};
 use tpc_processor::DynTrace;
 
-#[derive(Debug, Clone, Copy)]
-enum OpShape {
-    Alu(u8, u8, u8),
-    AddImm(u8, u8),
-    Mul(u8, u8, u8),
-    Load(u8, u8, u16),
-    Store(u8, u8, u16),
+const CASES: u32 = 256;
+
+/// 1 to 14 ALU, multiply, load and store ops over registers 0..12.
+fn random_ops(rng: &mut XorShift64) -> Vec<Op> {
+    let n = rng.next_in(1, 14);
+    (0..n)
+        .map(|_| {
+            let mut reg = || Reg::new(rng.next_below(12) as u8); // narrow: < 12
+            let (a, b, c) = (reg(), reg(), reg());
+            let offset = rng.next_below(512) as i32; // narrow: < 512
+            match rng.next_below(5) {
+                0 => Op::Add {
+                    rd: a,
+                    rs1: b,
+                    rs2: c,
+                },
+                1 => Op::AddImm {
+                    rd: a,
+                    rs1: b,
+                    imm: 1,
+                },
+                2 => Op::Mul {
+                    rd: a,
+                    rs1: b,
+                    rs2: c,
+                },
+                3 => Op::Load {
+                    rd: a,
+                    base: b,
+                    offset,
+                },
+                _ => Op::Store {
+                    src: a,
+                    base: b,
+                    offset,
+                },
+            }
+        })
+        .collect()
 }
 
-fn reg_idx() -> impl Strategy<Value = u8> {
-    0u8..12
-}
-
-fn shapes() -> impl Strategy<Value = Vec<OpShape>> {
-    prop::collection::vec(
-        prop_oneof![
-            (reg_idx(), reg_idx(), reg_idx()).prop_map(|(a, b, c)| OpShape::Alu(a, b, c)),
-            (reg_idx(), reg_idx()).prop_map(|(a, b)| OpShape::AddImm(a, b)),
-            (reg_idx(), reg_idx(), reg_idx()).prop_map(|(a, b, c)| OpShape::Mul(a, b, c)),
-            (reg_idx(), reg_idx(), 0u16..512).prop_map(|(a, b, o)| OpShape::Load(a, b, o)),
-            (reg_idx(), reg_idx(), 0u16..512).prop_map(|(a, b, o)| OpShape::Store(a, b, o)),
-        ],
-        1..15,
-    )
-}
-
-fn build_dyn_trace(shapes: &[OpShape]) -> DynTrace {
-    let r = Reg::new;
+/// The trace of `ops` (ended by a `ret` when shorter than a full
+/// trace), each memory op on a line of its own.
+fn build_dyn_trace(ops: &[Op]) -> DynTrace {
     let mut b = TraceBuilder::new(Addr::new(0));
     let mut trace = None;
-    for (i, &s) in shapes.iter().enumerate() {
-        let op = match s {
-            OpShape::Alu(a, x, y) => Op::Add {
-                rd: r(a),
-                rs1: r(x),
-                rs2: r(y),
-            },
-            OpShape::AddImm(a, x) => Op::AddImm {
-                rd: r(a),
-                rs1: r(x),
-                imm: 1,
-            },
-            OpShape::Mul(a, x, y) => Op::Mul {
-                rd: r(a),
-                rs1: r(x),
-                rs2: r(y),
-            },
-            OpShape::Load(a, x, o) => Op::Load {
-                rd: r(a),
-                base: r(x),
-                offset: o as i32,
-            },
-            OpShape::Store(a, x, o) => Op::Store {
-                src: r(a),
-                base: r(x),
-                offset: o as i32,
-            },
-        };
-        match b.push(Addr::new(i as u32), op, Resolution::None) {
-            PushResult::Continue(_) => {}
-            PushResult::Complete(t) => {
-                trace = Some(t);
-                break;
-            }
+    for (i, &op) in ops.iter().chain(&[Op::Return]).enumerate() {
+        if let PushResult::Complete(t) = b.push(Addr::new(i as u32), op, Resolution::None) {
+            trace = Some(t);
+            break;
         }
     }
-    let trace = trace.unwrap_or_else(|| {
-        match b.push(Addr::new(shapes.len() as u32), Op::Return, Resolution::None) {
-            PushResult::Complete(t) => t,
-            other => panic!("{other:?}"),
-        }
-    });
+    let trace = trace.expect("a return ends the trace");
     let mem_addrs = trace
         .instrs()
         .iter()
@@ -94,86 +75,140 @@ fn build_dyn_trace(shapes: &[OpShape]) -> DynTrace {
     DynTrace {
         trace,
         mem_addrs,
-        branch_outcomes: Vec::new(),
+        branch_outcomes: Default::default(),
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// For any single trace: issue-after-dispatch, latency and
-    /// intra-trace dependence constraints hold, and per-cycle issue
-    /// width is never exceeded.
-    #[test]
-    fn schedule_respects_machine_constraints(shapes in shapes(), dispatch in 0u64..1000) {
+/// For any single trace: issue-after-dispatch, latency and
+/// intra-trace dependence constraints hold, and per-cycle issue
+/// width and memory ports are never exceeded.
+#[test]
+fn schedule_respects_machine_constraints() {
+    let mut rng = XorShift64::new(0xBAC4_E5EE);
+    for case in 0..CASES {
+        let ops = random_ops(&mut rng);
+        let dispatch = u64::from(rng.next_below(1000));
+        let at = format!("case {case} at {dispatch}: {ops:?}");
         let config = BackendConfig::default();
         let mut be = Backend::new(config);
-        let dt = build_dyn_trace(&shapes);
+        let dt = build_dyn_trace(&ops);
         let t = be.dispatch(&dt, dispatch, false);
         let n = dt.trace.len();
-        prop_assert_eq!(t.exec_start.len(), n);
-        prop_assert_eq!(t.exec_done.len(), n);
+        assert_eq!(t.len, n, "{at}");
+        let (start, done) = (&t.exec_start[..n], &t.exec_done[..n]);
 
         let deps = trace_deps(&dt.trace);
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..n {
+        for (i, ti) in dt.trace.instrs().iter().enumerate() {
             // Nothing executes before the cycle after dispatch.
-            prop_assert!(t.exec_start[i] > dispatch, "instr {i} too early");
+            assert!(start[i] > dispatch, "{at}: instr {i} too early");
             // Latency lower bound (loads add cache latency on top).
-            let lat = op_latency(dt.trace.instrs()[i].op.class()) as u64;
-            prop_assert!(t.exec_done[i] >= t.exec_start[i] + lat - 1);
+            let lat = op_latency(ti.op.class()) as u64;
+            assert!(done[i] >= start[i] + lat - 1, "{at}: instr {i}");
             // Same-PE bypass: consumers start after producers finish.
             for &j in &deps[i] {
-                prop_assert!(
-                    t.exec_start[i] > t.exec_done[j as usize],
-                    "instr {i} started at {} but dep {j} finished at {}",
-                    t.exec_start[i],
-                    t.exec_done[j as usize]
+                let j = usize::from(j);
+                assert!(
+                    start[i] > done[j],
+                    "{at}: instr {i} started at {} but dep {j} finished at {}",
+                    start[i],
+                    done[j]
                 );
             }
         }
-        // Issue width: at most `issue_per_pe` starts per cycle.
-        let mut per_cycle = std::collections::HashMap::new();
-        for &c in &t.exec_start {
+        // Issue width: at most `issue_per_pe` starts per cycle, and at
+        // most `mem_ports_per_pe` of them memory ops.
+        let mut per_cycle = BTreeMap::new();
+        let mut mem_per_cycle = BTreeMap::new();
+        for (ti, &c) in dt.trace.instrs().iter().zip(start) {
             *per_cycle.entry(c).or_insert(0u32) += 1;
-        }
-        for (&c, &count) in &per_cycle {
-            prop_assert!(
-                count <= config.issue_per_pe as u32,
-                "{count} instructions issued in cycle {c}"
-            );
-        }
-        // Memory ports: at most mem_ports_per_pe memory ops per cycle.
-        let mut mem_per_cycle = std::collections::HashMap::new();
-        for (i, ti) in dt.trace.instrs().iter().enumerate() {
             if matches!(ti.op.class(), OpClass::Load | OpClass::Store) {
-                *mem_per_cycle.entry(t.exec_start[i]).or_insert(0u32) += 1;
+                *mem_per_cycle.entry(c).or_insert(0u32) += 1;
             }
         }
-        for (&c, &count) in &mem_per_cycle {
-            prop_assert!(
-                count <= config.mem_ports_per_pe as u32,
-                "{count} memory ops issued in cycle {c}"
+        for (&c, &count) in &per_cycle {
+            assert!(
+                count <= u32::from(config.issue_per_pe),
+                "{at}: {count} instructions issued in cycle {c}"
             );
         }
-        // The aggregate completion matches the per-instruction data.
-        prop_assert_eq!(t.complete, t.exec_done.iter().copied().max().unwrap_or(dispatch));
+        for (&c, &count) in &mem_per_cycle {
+            assert!(
+                count <= u32::from(config.mem_ports_per_pe),
+                "{at}: {count} memory ops issued in cycle {c}"
+            );
+        }
+        // The aggregate completion matches the per-instruction data;
+        // a branchless trace resolves when it completes.
+        assert_eq!(t.complete, done.iter().copied().max().unwrap(), "{at}");
+        assert_eq!(t.last_resolve, t.complete, "{at}");
     }
+}
 
-    /// Dependence chains serialize even under preprocessing (the
-    /// schedule may reorder issue priority but never break dataflow).
-    #[test]
-    fn preprocessing_never_breaks_dataflow(shapes in shapes()) {
-        let mut dt = build_dyn_trace(&shapes);
-        let info = tpc_core::preprocess::preprocess(&dt.trace);
+/// Values cross traces through the published register state: an
+/// instruction reading a register no earlier instruction of its own
+/// trace wrote starts no earlier than the cycle after the register's
+/// last writer in an earlier trace finished, plus the bus delay when
+/// that writer ran on another processing element.
+#[test]
+fn values_cross_traces_after_their_producers() {
+    let mut rng = XorShift64::new(0xC055_7EAC);
+    let config = BackendConfig::default();
+    for case in 0..CASES / 8 {
+        let mut be = Backend::new(config);
+        // Per register: (cycle a same-PE consumer may start, PE) of
+        // its last writer so far, or `None` before any write.
+        let mut written: [Option<(u64, usize)>; NUM_REGS] = [None; NUM_REGS];
+        let mut cycle = 0;
+        for k in 0..12 {
+            let ops = random_ops(&mut rng);
+            let at = format!("case {case}, trace {k}: {ops:?}");
+            let dt = build_dyn_trace(&ops);
+            cycle += u64::from(rng.next_below(4));
+            if !be.pe_available(cycle) {
+                be.release_pe(k % config.pe_count, cycle);
+            }
+            let t = be.dispatch(&dt, cycle, false);
+            let mut in_trace = [false; NUM_REGS];
+            for (i, ti) in dt.trace.instrs().iter().enumerate() {
+                for src in ti.op.sources() {
+                    if let (false, Some((ready, pe))) =
+                        (in_trace[src.index()], written[src.index()])
+                    {
+                        let bus = if pe == t.pe { 0 } else { config.bus_delay };
+                        assert!(
+                            t.exec_start[i] >= ready + bus,
+                            "{at}: instr {i} read {src:?} at {} before {}",
+                            t.exec_start[i],
+                            ready + bus
+                        );
+                    }
+                }
+                if let Some(rd) = ti.op.dest() {
+                    in_trace[rd.index()] = true;
+                    written[rd.index()] = Some((t.exec_done[i] + 1, t.pe));
+                }
+            }
+        }
+    }
+}
+
+/// Dependence chains serialize even under preprocessing (the
+/// schedule may reorder issue priority but never break dataflow).
+#[test]
+fn preprocessing_never_breaks_dataflow() {
+    let mut rng = XorShift64::new(0x9E9E_5EED);
+    for case in 0..CASES {
+        let ops = random_ops(&mut rng);
+        let mut dt = build_dyn_trace(&ops);
+        let info = preprocess(&dt.trace);
         dt.trace.set_preprocess(info.clone());
         let mut be = Backend::new(BackendConfig::default());
         let t = be.dispatch(&dt, 0, true);
         for (i, d) in info.deps.iter().enumerate() {
             for &j in d {
-                prop_assert!(
-                    t.exec_start[i] > t.exec_done[j as usize],
-                    "preprocessed dep {j}→{i} violated"
+                assert!(
+                    t.exec_start[i] > t.exec_done[usize::from(j)],
+                    "case {case}: preprocessed dep {j}→{i} violated in {ops:?}"
                 );
             }
         }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Repo verification gate: tier-1 build+test, lints, formatting, the
-# static-analysis conformance fuzz, and the quick benchmarks.
+# static-analysis conformance fuzz, full-report bit-identity, and the
+# quick benchmarks.
 # Everything runs offline.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -87,6 +88,14 @@ cargo run -p tpc-experiments --release --offline --bin analysis_report -- \
 diff /tmp/analysis.j1.md /tmp/analysis.j4.md
 diff /tmp/analysis.j1.json BENCH_analysis.json
 rm /tmp/analysis.j1.md /tmp/analysis.j4.md /tmp/analysis.j1.json
+
+echo "== full report regenerates bit-identically (report_full.md) =="
+# No optimization or refactor lands unless the checked-in full report
+# regenerates diff-clean; a deliberate model change regenerates and
+# commits it in the same change.
+cargo run -p tpc-experiments --release --offline --bin all > /tmp/r.md
+diff report_full.md /tmp/r.md
+rm /tmp/r.md
 
 echo "== bench_throughput --quick =="
 cargo run -p tpc-experiments --release --offline --bin bench_throughput -- --quick
