@@ -11,10 +11,37 @@
 //! at returns whose call was not observed during this walk, where the
 //! target is equally unknown).
 
-use crate::trace::{PushResult, Resolution, Trace, TraceBuilder};
+use crate::trace::{PushResult, Resolution, Trace, TraceBuilder, MAX_TRACE_LEN};
 use tpc_isa::{Addr, OpClass, Program};
-use tpc_mem::PrefetchCache;
+use tpc_mem::{line_of, PrefetchCache};
 use tpc_predict::{Bias, Bimodal};
+
+/// The return points of the calls followed within the current trace.
+/// A walk never continues past a completed trace (successors go to
+/// the region's worklist), so at most [`MAX_TRACE_LEN`] calls are
+/// ever outstanding.
+#[derive(Debug, Clone, Copy)]
+struct CallStack {
+    ret: [Addr; MAX_TRACE_LEN],
+    len: usize,
+}
+
+impl CallStack {
+    const EMPTY: CallStack = CallStack {
+        ret: [Addr::ZERO; MAX_TRACE_LEN],
+        len: 0,
+    };
+
+    fn push(&mut self, ra: Addr) {
+        self.ret[self.len] = ra;
+        self.len += 1;
+    }
+
+    fn pop(&mut self) -> Option<Addr> {
+        self.len = self.len.checked_sub(1)?;
+        Some(self.ret[self.len])
+    }
+}
 
 /// One saved decision point for a weakly-biased branch: the builder
 /// and call-stack state just *before* the branch was consumed, plus
@@ -23,15 +50,15 @@ use tpc_predict::{Bias, Bimodal};
 #[derive(Debug, Clone)]
 struct Decision {
     builder: TraceBuilder,
-    call_stack: Vec<Addr>,
+    call_stack: CallStack,
     branch_pc: Addr,
 }
 
-/// What a single constructor step produced.
+/// Why [`TraceConstructor::run`] stopped.
 #[derive(Debug, Clone)]
 pub enum Step {
-    /// Consumed one instruction; more work remains this trace.
-    Advanced,
+    /// The decode budget is spent; more work remains this trace.
+    BudgetSpent,
     /// The instruction at the returned address is not in the prefetch
     /// cache; the engine must fetch its line before this constructor
     /// can proceed.
@@ -39,7 +66,7 @@ pub enum Step {
     /// A trace completed. The constructor may still have alternative
     /// paths queued on its internal stack — call
     /// [`TraceConstructor::backtrack`] before assigning new work.
-    TraceDone(Box<Trace>),
+    TraceDone(Trace),
     /// The current path ended without completing further traces and
     /// no alternatives remain: the constructor is idle.
     Idle,
@@ -50,9 +77,14 @@ pub enum Step {
 pub struct TraceConstructor {
     builder: Option<TraceBuilder>,
     pc: Addr,
-    call_stack: Vec<Addr>,
+    call_stack: CallStack,
     decisions: Vec<Decision>,
     decision_depth: usize,
+    /// A prefetch-cache line known to be resident. Lines are never
+    /// evicted while their region lives, so the memo holds until the
+    /// constructor moves to another region ([`TraceConstructor::start`]
+    /// or [`TraceConstructor::abort`]).
+    resident_line: Option<u64>,
 }
 
 impl TraceConstructor {
@@ -62,9 +94,10 @@ impl TraceConstructor {
         TraceConstructor {
             builder: None,
             pc: Addr::ZERO,
-            call_stack: Vec::new(),
-            decisions: Vec::new(),
+            call_stack: CallStack::EMPTY,
+            decisions: Vec::with_capacity(decision_depth),
             decision_depth,
+            resident_line: None,
         }
     }
 
@@ -88,133 +121,143 @@ impl TraceConstructor {
         debug_assert!(self.is_idle(), "constructor reassigned while busy");
         self.builder = Some(TraceBuilder::new(start));
         self.pc = start;
-        self.call_stack.clear();
+        self.call_stack = CallStack::EMPTY;
         self.decisions.clear();
+        self.resident_line = None;
     }
 
     /// Abandons all work (region terminated).
     pub fn abort(&mut self) {
         self.builder = None;
-        self.call_stack.clear();
+        self.call_stack = CallStack::EMPTY;
         self.decisions.clear();
+        self.resident_line = None;
     }
 
     /// After [`Step::TraceDone`], resumes the most recent pending
     /// alternative path, if any. Returns `true` when an alternative
     /// was resumed, `false` when the constructor is now idle.
     pub fn backtrack(&mut self, program: &Program) -> bool {
-        let Some(d) = self.decisions.pop() else {
-            return false;
-        };
-        let mut builder = d.builder;
-        self.call_stack = d.call_stack;
-        // Re-consume the branch, this time down the taken path.
-        let op = *program
-            .fetch(d.branch_pc)
-            .expect("decision point addresses a validated branch");
-        let target = op
-            .static_target()
-            .expect("conditional branches have static targets");
-        match builder.push(
-            d.branch_pc,
-            op,
-            Resolution::Branch {
+        while let Some(d) = self.decisions.pop() {
+            let mut builder = d.builder;
+            self.call_stack = d.call_stack;
+            // Re-consume the branch, this time down the taken path.
+            let op = *program
+                .fetch(d.branch_pc)
+                .expect("decision point addresses a validated branch");
+            let target = op
+                .static_target()
+                .expect("conditional branches have static targets");
+            let taken = Resolution::Branch {
                 taken: true,
                 next_pc: target,
-            },
-        ) {
-            PushResult::Continue(next) => {
+            };
+            // When the branch completes the alternative trace
+            // immediately (alignment/full), a one-divergence
+            // duplicate is not useful: it is discarded unbuilt and
+            // the next alternative is tried.
+            if let Some(next) = builder.push_or_discard(d.branch_pc, op, taken) {
                 self.pc = next;
                 self.builder = Some(builder);
-            }
-            PushResult::Complete(_) => {
-                // The branch completed the alternative trace
-                // immediately (alignment/full). Constructing a
-                // one-divergence duplicate is not useful; fall
-                // through to the next alternative.
-                return self.backtrack(program);
+                return true;
             }
         }
-        true
+        false
     }
 
-    /// Advances construction by one instruction.
+    /// Decodes instructions until `budget` is spent, a line is
+    /// missing, a trace completes or the path ends. Every consumed
+    /// instruction — including the one that completes a trace — takes
+    /// one unit of `budget`.
     ///
     /// `prefetch` is the region's prefetch cache (instructions must
     /// be resident to be decoded); `bimodal` is the shared slow-path
     /// predictor consulted for branch bias.
-    pub fn step(&mut self, program: &Program, prefetch: &PrefetchCache, bimodal: &Bimodal) -> Step {
-        let Some(builder) = self.builder.as_mut() else {
-            return Step::Idle;
-        };
-        let pc = self.pc;
-        if !prefetch.contains(pc) {
-            return Step::NeedLine(pc);
-        }
-        let Some(op) = program.fetch(pc).copied() else {
-            // Ran past the end of the code: only possible in
-            // hand-written programs; end the path.
-            self.builder = None;
-            return Step::Idle;
-        };
+    pub fn run(
+        &mut self,
+        budget: &mut u32,
+        program: &Program,
+        prefetch: &PrefetchCache,
+        bimodal: &Bimodal,
+    ) -> Step {
+        loop {
+            let Some(builder) = self.builder.as_mut() else {
+                return Step::Idle;
+            };
+            if *budget == 0 {
+                return Step::BudgetSpent;
+            }
+            let pc = self.pc;
+            let line = line_of(pc);
+            if self.resident_line != Some(line) {
+                if !prefetch.contains(pc) {
+                    return Step::NeedLine(pc);
+                }
+                self.resident_line = Some(line);
+            }
+            let Some(op) = program.fetch(pc).copied() else {
+                // Ran past the end of the code: only possible in
+                // hand-written programs; end the path.
+                self.builder = None;
+                return Step::Idle;
+            };
 
-        let resolution = match op.class() {
-            OpClass::Branch => {
-                let target = op.static_target().expect("branch has a static target");
-                match bimodal.bias(pc) {
-                    Bias::StronglyTaken => Resolution::Branch {
-                        taken: true,
-                        next_pc: target,
-                    },
-                    Bias::StronglyNotTaken => Resolution::Branch {
-                        taken: false,
-                        next_pc: pc.next(),
-                    },
-                    Bias::Weak => {
-                        // Fork: not-taken first, taken path saved for
-                        // backtracking (bounded stack; overflow means
-                        // we simply do not explore that alternative).
-                        if self.decisions.len() < self.decision_depth {
-                            self.decisions.push(Decision {
-                                builder: builder.clone(),
-                                call_stack: self.call_stack.clone(),
-                                branch_pc: pc,
-                            });
-                        }
-                        Resolution::Branch {
+            let resolution = match op.class() {
+                OpClass::Branch => {
+                    let target = op.static_target().expect("branch has a static target");
+                    match bimodal.bias(pc) {
+                        Bias::StronglyTaken => Resolution::Branch {
+                            taken: true,
+                            next_pc: target,
+                        },
+                        Bias::StronglyNotTaken => Resolution::Branch {
                             taken: false,
                             next_pc: pc.next(),
+                        },
+                        Bias::Weak => {
+                            // Fork: not-taken first, taken path saved
+                            // for backtracking (bounded stack;
+                            // overflow means we simply do not explore
+                            // that alternative).
+                            if self.decisions.len() < self.decision_depth {
+                                self.decisions.push(Decision {
+                                    builder: builder.clone(),
+                                    call_stack: self.call_stack,
+                                    branch_pc: pc,
+                                });
+                            }
+                            Resolution::Branch {
+                                taken: false,
+                                next_pc: pc.next(),
+                            }
                         }
                     }
                 }
-            }
-            OpClass::Call => {
-                self.call_stack.push(pc.next());
-                Resolution::None
-            }
-            OpClass::Return => match self.call_stack.pop() {
-                Some(ra) => Resolution::Target(ra),
-                None => Resolution::None,
-            },
-            // Indirect-jump targets are unknown to preconstruction:
-            // the path terminates here (paper Section 2.1).
-            OpClass::IndirectJump => Resolution::None,
-            OpClass::Halt => Resolution::None,
-            _ => Resolution::None,
-        };
+                OpClass::Call => {
+                    self.call_stack.push(pc.next());
+                    Resolution::None
+                }
+                OpClass::Return => match self.call_stack.pop() {
+                    Some(ra) => Resolution::Target(ra),
+                    None => Resolution::None,
+                },
+                // Indirect-jump targets are unknown to
+                // preconstruction: the path terminates here (paper
+                // Section 2.1).
+                _ => Resolution::None,
+            };
 
-        debug_assert!(
-            self.decisions.len() <= self.decision_depth,
-            "decision stack exceeded its configured depth"
-        );
-        match builder.push(pc, op, resolution) {
-            PushResult::Continue(next) => {
-                self.pc = next;
-                Step::Advanced
-            }
-            PushResult::Complete(trace) => {
-                self.builder = None;
-                Step::TraceDone(Box::new(trace))
+            debug_assert!(
+                self.decisions.len() <= self.decision_depth,
+                "decision stack exceeded its configured depth"
+            );
+            *budget -= 1;
+            match builder.push(pc, op, resolution) {
+                PushResult::Continue(next) => self.pc = next,
+                PushResult::Complete(trace) => {
+                    self.builder = None;
+                    return Step::TraceDone(trace);
+                }
             }
         }
     }
@@ -253,10 +296,11 @@ mod tests {
     ) -> Vec<Trace> {
         let mut traces = Vec::new();
         for _ in 0..10_000 {
-            match ctor.step(program, prefetch, bimodal) {
-                Step::Advanced => {}
+            let mut budget = 4;
+            match ctor.run(&mut budget, program, prefetch, bimodal) {
+                Step::BudgetSpent => assert_eq!(budget, 0),
                 Step::TraceDone(t) => {
-                    traces.push(*t);
+                    traces.push(t);
                     if !ctor.backtrack(program) {
                         break;
                     }
@@ -427,8 +471,9 @@ mod tests {
         let bimodal = Bimodal::new(64);
         let mut ctor = TraceConstructor::new(3);
         ctor.start(Addr::ZERO);
-        match ctor.step(&p, &prefetch, &bimodal) {
-            Step::NeedLine(a) => assert_eq!(a, Addr::ZERO),
+        let mut budget = 4;
+        match ctor.run(&mut budget, &p, &prefetch, &bimodal) {
+            Step::NeedLine(a) => assert_eq!((a, budget), (Addr::ZERO, 4)),
             other => panic!("{other:?}"),
         }
     }
@@ -465,6 +510,74 @@ mod tests {
     }
 
     #[test]
+    fn budget_counts_every_consumed_instruction() {
+        // Five adds and a ret: a budget of 4 stops mid-trace, and the
+        // completing `ret` takes the last unit of the next budget.
+        let mut b = ProgramBuilder::new();
+        for _ in 0..5 {
+            b.push(Op::Nop);
+        }
+        b.push(Op::Return);
+        let p = b.build().unwrap();
+        let prefetch = full_prefetch(&p);
+        let bimodal = Bimodal::new(64);
+        let mut ctor = TraceConstructor::new(3);
+        ctor.start(Addr::ZERO);
+        let mut budget = 4;
+        assert!(matches!(
+            ctor.run(&mut budget, &p, &prefetch, &bimodal),
+            Step::BudgetSpent
+        ));
+        assert_eq!(budget, 0);
+        let mut budget = 4;
+        match ctor.run(&mut budget, &p, &prefetch, &bimodal) {
+            Step::TraceDone(t) => assert_eq!((t.len(), budget), (6, 2)),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn resident_line_memo_resets_with_the_region() {
+        // A constructor that walked a resident line must not trust
+        // its memo after moving to a region whose prefetch cache is
+        // empty.
+        let mut b = ProgramBuilder::new();
+        b.push(Op::Nop);
+        b.push(Op::Return);
+        let p = b.build().unwrap();
+        let bimodal = Bimodal::new(64);
+        let full = full_prefetch(&p);
+        let empty = PrefetchCache::new(16);
+        let mut ctor = TraceConstructor::new(3);
+        // Finish a trace on a resident line, then start over with an
+        // empty prefetch cache.
+        ctor.start(Addr::ZERO);
+        assert!(matches!(
+            ctor.run(&mut 4, &p, &full, &bimodal),
+            Step::TraceDone(_)
+        ));
+        assert!(!ctor.backtrack(&p));
+        ctor.start(Addr::ZERO);
+        assert!(matches!(
+            ctor.run(&mut 4, &p, &empty, &bimodal),
+            Step::NeedLine(_)
+        ));
+        // Likewise after an abort mid-trace.
+        ctor.abort();
+        ctor.start(Addr::ZERO);
+        assert!(matches!(
+            ctor.run(&mut 1, &p, &full, &bimodal),
+            Step::BudgetSpent
+        ));
+        ctor.abort();
+        ctor.start(Addr::ZERO);
+        assert!(matches!(
+            ctor.run(&mut 4, &p, &empty, &bimodal),
+            Step::NeedLine(_)
+        ));
+    }
+
+    #[test]
     fn abort_clears_all_state() {
         let mut b = ProgramBuilder::new();
         b.push(Op::Nop);
@@ -477,6 +590,9 @@ mod tests {
         assert!(!ctor.is_idle());
         ctor.abort();
         assert!(ctor.is_idle());
-        assert!(matches!(ctor.step(&p, &prefetch, &bimodal), Step::Idle));
+        assert!(matches!(
+            ctor.run(&mut 4, &p, &prefetch, &bimodal),
+            Step::Idle
+        ));
     }
 }

@@ -189,17 +189,64 @@ pub enum EngineActivity {
     TraceEmitted(Trace),
 }
 
+/// One region slot, paired with one prefetch cache. A slot is reused
+/// in place: activating a region clears its buffers but keeps their
+/// storage, so the engine allocates nothing per region once every
+/// buffer has reached its working size.
 #[derive(Debug)]
 struct Region {
+    /// Whether the slot holds a region under exploration.
+    live: bool,
     id: u64,
     start: Addr,
     prefetch: PrefetchCache,
+    /// Trace start points still to construct, oldest first.
     worklist: VecDeque<Addr>,
-    seen: BTreeSet<Addr>,
+    /// Every start point ever queued in this region, sorted.
+    seen: Vec<Addr>,
     /// Line address a constructor is stalled on.
     want_line: Option<Addr>,
     /// In-flight line fetch: (address, cycle it arrives).
     pending: Option<(Addr, u64)>,
+}
+
+impl Region {
+    fn new(config: &EngineConfig) -> Self {
+        Region {
+            live: false,
+            id: 0,
+            start: Addr::ZERO,
+            prefetch: PrefetchCache::new(config.prefetch_capacity),
+            worklist: VecDeque::with_capacity(worklist_bound(config)),
+            seen: Vec::new(),
+            want_line: None,
+            pending: None,
+        }
+    }
+
+    /// Queues `addr` for construction unless it was queued before.
+    fn queue(&mut self, addr: Addr) {
+        if let Err(at) = self.seen.binary_search(&addr) {
+            self.seen.insert(at, addr);
+            self.worklist.push_back(addr);
+        }
+    }
+}
+
+/// Most entries a region worklist may hold. Lattice seeding may plant
+/// up to `ALIGN_QUANTUM` initial entries, so the bound is the max of
+/// that and the configured cap.
+fn worklist_bound(config: &EngineConfig) -> usize {
+    config.worklist_cap.max(crate::trace::ALIGN_QUANTUM)
+}
+
+/// The `salt`-chosen index among `0..n` satisfying `pred`, if any.
+fn salt_pick(n: usize, salt: u64, pred: impl Fn(usize) -> bool) -> Option<usize> {
+    let count = (0..n).filter(|&i| pred(i)).count();
+    if count == 0 {
+        return None;
+    }
+    (0..n).filter(|&i| pred(i)).nth(salt as usize % count)
 }
 
 /// The preconstruction engine. See the module docs for the overall
@@ -209,7 +256,7 @@ struct Region {
 pub struct PreconEngine {
     config: EngineConfig,
     stack: StartPointStack,
-    regions: Vec<Option<Region>>,
+    regions: Vec<Region>,
     constructors: Vec<TraceConstructor>,
     /// Region slot each constructor works for.
     assignment: Vec<Option<usize>>,
@@ -230,7 +277,9 @@ impl PreconEngine {
     pub fn new(config: EngineConfig) -> Self {
         PreconEngine {
             stack: StartPointStack::new(config.stack_depth.max(1), config.completed_entries),
-            regions: (0..config.prefetch_caches).map(|_| None).collect(),
+            regions: (0..config.prefetch_caches)
+                .map(|_| Region::new(&config))
+                .collect(),
             constructors: (0..config.constructors)
                 .map(|_| TraceConstructor::new(config.decision_depth))
                 .collect(),
@@ -306,10 +355,8 @@ impl PreconEngine {
                 }
             }
         }
-        // Lattice seeding may plant up to ALIGN_QUANTUM initial
-        // entries, so the bound is the max of the two.
-        let worklist_bound = self.config.worklist_cap.max(crate::trace::ALIGN_QUANTUM);
-        for region in self.regions.iter().flatten() {
+        let worklist_bound = worklist_bound(&self.config);
+        for region in self.regions.iter().filter(|r| r.live) {
             if region.worklist.len() > worklist_bound {
                 return Err(format!(
                     "region {} worklist holds {} entries, cap is {}",
@@ -357,7 +404,7 @@ impl PreconEngine {
         }
         // Catch-up: the processor reached a region being explored.
         for i in 0..self.regions.len() {
-            if self.regions[i].as_ref().is_some_and(|r| r.start == pc) {
+            if self.regions[i].live && self.regions[i].start == pc {
                 self.retire_region(i, RegionEnd::CaughtUp);
             }
         }
@@ -394,7 +441,7 @@ impl PreconEngine {
         bimodal: &Bimodal,
         store: &mut dyn TraceStore,
     ) {
-        if !self.config.enabled {
+        if !self.config.enabled || self.is_quiescent() {
             return;
         }
         self.activate_regions();
@@ -408,10 +455,21 @@ impl PreconEngine {
         self.complete_quiet_regions();
     }
 
+    /// Whether a tick would change nothing: no start point to
+    /// activate, no live region, and no constructor holding work, an
+    /// assignment or a fault stall.
+    fn is_quiescent(&self) -> bool {
+        self.stack.is_empty()
+            && self.regions.iter().all(|r| !r.live)
+            && self.constructors.iter().all(TraceConstructor::is_idle)
+            && self.assignment.iter().all(Option::is_none)
+            && self.stalls.iter().all(|&s| s == 0)
+    }
+
     /// Pops start points into free region slots.
     fn activate_regions(&mut self) {
         for slot in self.regions.iter_mut() {
-            if slot.is_some() {
+            if slot.live {
                 continue;
             }
             let Some(sp) = self.stack.pop() else { break };
@@ -422,26 +480,23 @@ impl PreconEngine {
             // trace starts at `addr + 4k` for some k — seeding every
             // phase guarantees one seed lands on the lattice the
             // processor will actually use (paper Section 2.2).
-            let seeds: Vec<Addr> = match sp.reason {
-                crate::start_stack::StartReason::LoopExit
-                    if self.config.lattice_seed_loop_exits =>
-                {
-                    (0..crate::trace::ALIGN_QUANTUM as u32)
-                        .map(|k| sp.addr + k * crate::trace::ALIGN_QUANTUM as u32)
-                        .collect()
+            let seeds = match sp.reason {
+                StartReason::LoopExit if self.config.lattice_seed_loop_exits => {
+                    crate::trace::ALIGN_QUANTUM as u32
                 }
-                _ => vec![sp.addr],
+                _ => 1,
             };
-            let seen: BTreeSet<Addr> = seeds.iter().copied().collect();
-            *slot = Some(Region {
-                id: self.next_region_id,
-                start: sp.addr,
-                prefetch: PrefetchCache::new(self.config.prefetch_capacity),
-                worklist: VecDeque::from(seeds),
-                seen,
-                want_line: None,
-                pending: None,
-            });
+            slot.live = true;
+            slot.id = self.next_region_id;
+            slot.start = sp.addr;
+            slot.prefetch.clear();
+            slot.worklist.clear();
+            slot.seen.clear();
+            slot.want_line = None;
+            slot.pending = None;
+            for k in 0..seeds {
+                slot.queue(sp.addr + k * crate::trace::ALIGN_QUANTUM as u32);
+            }
             self.next_region_id += 1;
             self.stats.regions_started += 1;
         }
@@ -450,9 +505,10 @@ impl PreconEngine {
     /// Moves arrived line fetches into their prefetch caches.
     fn land_pending_fetches(&mut self, cycle: u64) {
         for i in 0..self.regions.len() {
-            let Some(region) = self.regions[i].as_mut() else {
+            let region = &mut self.regions[i];
+            if !region.live {
                 continue;
-            };
+            }
             if let Some((addr, ready)) = region.pending {
                 if cycle >= ready {
                     region.pending = None;
@@ -470,8 +526,7 @@ impl PreconEngine {
         let candidate = self
             .regions
             .iter_mut()
-            .flatten()
-            .filter(|r| r.pending.is_none() && r.want_line.is_some())
+            .filter(|r| r.live && r.pending.is_none() && r.want_line.is_some())
             .max_by_key(|r| r.id);
         if let Some(region) = candidate {
             let addr = region.want_line.take().expect("filtered on is_some");
@@ -482,7 +537,7 @@ impl PreconEngine {
         }
     }
 
-    /// Steps every constructor up to `decode_width` instructions.
+    /// Runs every constructor for up to `decode_width` instructions.
     fn run_constructors(
         &mut self,
         program: &Program,
@@ -504,25 +559,29 @@ impl PreconEngine {
                 let Some(slot) = self.assignment[c] else {
                     break;
                 };
-                let Some(region) = self.regions[slot].as_ref() else {
+                let region = &mut self.regions[slot];
+                if !region.live {
                     self.assignment[c] = None;
                     continue;
-                };
-                match self.constructors[c].step(program, &region.prefetch, bimodal) {
-                    Step::Advanced => budget -= 1,
+                }
+                match self.constructors[c].run(&mut budget, program, &region.prefetch, bimodal) {
+                    Step::BudgetSpent => {}
                     Step::NeedLine(addr) => {
-                        let region = self.regions[slot].as_mut().expect("checked above");
                         if region.prefetch.is_full() {
                             self.retire_region(slot, RegionEnd::FetchBound);
                         } else {
+                            // Known model defect, kept because fixing
+                            // it moves counters: a constructor that
+                            // re-polls while its line is in flight
+                            // sets `want_line` again, so once the fill
+                            // lands the engine fetches the same,
+                            // already-resident line a second time
+                            // (ROADMAP item 1).
                             region.want_line = Some(addr);
                         }
                         break;
                     }
-                    Step::TraceDone(trace) => {
-                        budget = budget.saturating_sub(1);
-                        self.file_trace(c, slot, *trace, program, store);
-                    }
+                    Step::TraceDone(trace) => self.file_trace(c, slot, trace, program, store),
                     Step::Idle => {
                         self.assignment[c] = None;
                     }
@@ -554,20 +613,17 @@ impl PreconEngine {
         if self.config.track_built_keys {
             self.built_keys.insert(trace.key().hash64());
         }
-        let region_id;
-        {
-            let Some(region) = self.regions[slot].as_mut() else {
-                return;
-            };
-            region_id = region.id;
-            if let Some(succ) = trace.successor() {
-                if !region.seen.contains(&succ) {
-                    if region.worklist.len() < self.config.worklist_cap {
-                        region.seen.insert(succ);
-                        region.worklist.push_back(succ);
-                    } else {
-                        self.stats.successors_dropped += 1;
-                    }
+        let region = &mut self.regions[slot];
+        if !region.live {
+            return;
+        }
+        let region_id = region.id;
+        if let Some(succ) = trace.successor() {
+            if region.seen.binary_search(&succ).is_err() {
+                if region.worklist.len() < self.config.worklist_cap {
+                    region.queue(succ);
+                } else {
+                    self.stats.successors_dropped += 1;
                 }
             }
         }
@@ -597,16 +653,17 @@ impl PreconEngine {
             .regions
             .iter()
             .enumerate()
-            .filter_map(|(i, r)| r.as_ref().map(|r| (i, r)))
-            .filter(|(_, r)| !r.worklist.is_empty())
+            .filter(|(_, r)| r.live && !r.worklist.is_empty())
             .max_by_key(|(_, r)| r.id)
             .map(|(i, _)| i);
         let Some(slot) = slot else {
             self.assignment[ctor] = None;
             return false;
         };
-        let region = self.regions[slot].as_mut().expect("selected above");
-        let start = region.worklist.pop_front().expect("non-empty");
+        let start = self.regions[slot]
+            .worklist
+            .pop_front()
+            .expect("selected non-empty");
         self.constructors[ctor].start(start);
         self.assignment[ctor] = Some(slot);
         true
@@ -616,10 +673,9 @@ impl PreconEngine {
     fn complete_quiet_regions(&mut self) {
         for i in 0..self.regions.len() {
             let quiet = {
-                let Some(region) = self.regions[i].as_ref() else {
-                    continue;
-                };
-                region.worklist.is_empty()
+                let region = &self.regions[i];
+                region.live
+                    && region.worklist.is_empty()
                     && region.pending.is_none()
                     && region.want_line.is_none()
                     && !self
@@ -654,7 +710,7 @@ impl PreconEngine {
                 let Some(slot) = self.pick_pending_region(salt) else {
                     return false;
                 };
-                let region = self.regions[slot].as_mut().expect("picked live");
+                let region = &mut self.regions[slot];
                 let (addr, _) = region.pending.take().expect("picked pending");
                 region.want_line = Some(addr);
                 true
@@ -663,8 +719,7 @@ impl PreconEngine {
                 let Some(slot) = self.pick_pending_region(salt) else {
                     return false;
                 };
-                let region = self.regions[slot].as_mut().expect("picked live");
-                let (_, ready) = region.pending.as_mut().expect("picked pending");
+                let (_, ready) = self.regions[slot].pending.as_mut().expect("picked pending");
                 *ready += extra;
                 true
             }
@@ -696,35 +751,32 @@ impl PreconEngine {
 
     /// Salt-chosen region slot with an in-flight line fetch.
     fn pick_pending_region(&self, salt: u64) -> Option<usize> {
-        let pending: Vec<usize> = (0..self.regions.len())
-            .filter(|&i| {
-                self.regions[i]
-                    .as_ref()
-                    .is_some_and(|r| r.pending.is_some())
-            })
-            .collect();
-        (!pending.is_empty()).then(|| pending[salt as usize % pending.len()])
+        salt_pick(self.regions.len(), salt, |i| {
+            self.regions[i].live && self.regions[i].pending.is_some()
+        })
     }
 
     /// Salt-chosen constructor that is currently mid-trace.
     fn pick_busy_constructor(&self, salt: u64) -> Option<usize> {
-        let busy: Vec<usize> = (0..self.constructors.len())
-            .filter(|&c| !self.constructors[c].is_idle())
-            .collect();
-        (!busy.is_empty()).then(|| busy[salt as usize % busy.len()])
+        salt_pick(self.constructors.len(), salt, |c| {
+            !self.constructors[c].is_idle()
+        })
     }
 
     fn retire_region(&mut self, slot: usize, end: RegionEnd) {
-        let Some(region) = self.regions[slot].take() else {
+        let region = &mut self.regions[slot];
+        if !region.live {
             return;
-        };
+        }
+        region.live = false;
+        let start = region.start;
         match end {
             RegionEnd::Completed => self.stats.regions_completed += 1,
             RegionEnd::CaughtUp => self.stats.regions_caught_up += 1,
             RegionEnd::FetchBound => self.stats.regions_fetch_bound += 1,
             RegionEnd::BufferBound => self.stats.regions_buffer_bound += 1,
         }
-        self.stack.mark_completed(region.start);
+        self.stack.mark_completed(start);
         for (c, a) in self.assignment.iter_mut().enumerate() {
             if *a == Some(slot) {
                 self.constructors[c].abort();
@@ -941,6 +993,60 @@ mod tests {
         let f = store.fetch(key);
         assert!(f.hit, "trace built");
         assert!(f.preprocess.is_some());
+    }
+
+    #[test]
+    fn reused_region_slot_starts_clean() {
+        // One region slot serves two regions in turn. Both sit on the
+        // same I-cache line, so the second region must fetch it again
+        // into its cleared prefetch cache.
+        let mut b = ProgramBuilder::new();
+        let first_call = b.push(Op::Nop); // patched to call f
+        b.push(Op::AddImm {
+            rd: r(1),
+            rs1: r(1),
+            imm: 1,
+        });
+        b.push(Op::Halt);
+        let second_call = b.push(Op::Nop); // patched to call f
+        b.push(Op::AddImm {
+            rd: r(2),
+            rs1: r(2),
+            imm: 1,
+        });
+        b.push(Op::Halt);
+        let f = b.here();
+        b.push(Op::Return);
+        b.patch(first_call, Op::Call { target: f });
+        b.patch(second_call, Op::Call { target: f });
+        let p = b.build().unwrap();
+        let mut e = PreconEngine::new(EngineConfig {
+            prefetch_caches: 1,
+            ..EngineConfig::default()
+        });
+        let (mut ic, bim, mut store) = harness();
+        let mut fetched = Vec::new();
+        for (seq, call) in [first_call, second_call].into_iter().enumerate() {
+            e.observe_dispatch(call, p.fetch(call).unwrap(), seq as u64 + 1);
+            for cycle in 0..100 {
+                let cycle = seq as u64 * 100 + cycle;
+                e.tick(cycle, true, &p, &mut ic, &bim, &mut store);
+            }
+            fetched.push(e.stats().lines_fetched);
+        }
+        assert_eq!(e.stats().regions_started, 2);
+        assert_eq!(e.stats().regions_completed, 2);
+        assert!(fetched[0] > 0);
+        assert_eq!(fetched[1], 2 * fetched[0], "each region fetches alike");
+        for start in [first_call.next(), second_call.next()] {
+            let key = TraceKey {
+                start,
+                branch_count: 0,
+                outcomes: 0,
+            };
+            assert!(store.fetch(key).hit, "trace at {start:?} built");
+        }
+        assert!(e.is_quiescent());
     }
 
     #[test]

@@ -180,6 +180,40 @@ pub struct FaultEvent {
     pub b: u64,
 }
 
+/// The events one [`FaultState::draw`] fired, at most one per kind,
+/// in [`FaultKind::ALL`] order. Held inline, so drawing allocates
+/// nothing; derefs to a slice.
+#[derive(Debug, Clone, Copy)]
+pub struct FaultEvents {
+    events: [FaultEvent; NUM_FAULT_KINDS],
+    len: usize,
+}
+
+impl std::ops::Deref for FaultEvents {
+    type Target = [FaultEvent];
+
+    fn deref(&self) -> &[FaultEvent] {
+        &self.events[..self.len]
+    }
+}
+
+impl PartialEq for FaultEvents {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for FaultEvents {}
+
+impl IntoIterator for FaultEvents {
+    type Item = FaultEvent;
+    type IntoIter = std::iter::Take<std::array::IntoIter<FaultEvent, NUM_FAULT_KINDS>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.events.into_iter().take(self.len)
+    }
+}
+
 /// Runtime state of a fault plan inside one simulator instance: the
 /// seeded PRNG plus the injected/landed counters.
 #[derive(Debug, Clone)]
@@ -215,8 +249,15 @@ impl FaultState {
     /// consumed is a pure function of the plan and the number of
     /// prior draws, so the schedule is identical across runs and
     /// thread counts.
-    pub fn draw(&mut self) -> Vec<FaultEvent> {
-        let mut events = Vec::new();
+    pub fn draw(&mut self) -> FaultEvents {
+        let mut events = FaultEvents {
+            events: [FaultEvent {
+                kind: FaultKind::ALL[0],
+                a: 0,
+                b: 0,
+            }; NUM_FAULT_KINDS],
+            len: 0,
+        };
         if self.plan.per_mille == 0 || self.plan.kinds == 0 {
             return events;
         }
@@ -225,11 +266,12 @@ impl FaultState {
                 continue;
             }
             if self.rng.chance(self.plan.per_mille.min(1000), 1000) {
-                events.push(FaultEvent {
+                events.events[events.len] = FaultEvent {
                     kind,
                     a: self.rng.next_u64(),
                     b: self.rng.next_u64(),
-                });
+                };
+                events.len += 1;
             }
         }
         events

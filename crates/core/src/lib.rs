@@ -44,7 +44,7 @@ pub mod trace_cache;
 
 pub use engine::{EngineActivity, EngineConfig, EngineStats, PreconEngine};
 pub use faults::{
-    EngineFault, FaultEvent, FaultKind, FaultPlan, FaultState, FaultStats, FAULTS_ALL,
+    EngineFault, FaultEvent, FaultEvents, FaultKind, FaultPlan, FaultState, FaultStats, FAULTS_ALL,
     NUM_FAULT_KINDS,
 };
 pub use precon_buffer::{PreconBuffers, PreconStats};

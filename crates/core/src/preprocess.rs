@@ -27,7 +27,7 @@
 //! "instructions within a trace need not be identical to the static
 //! program, just functionally equivalent".
 
-use crate::trace::Trace;
+use crate::trace::{Trace, MAX_TRACE_LEN};
 use tpc_isa::Op;
 #[cfg(test)]
 use tpc_isa::OpClass;
@@ -58,32 +58,43 @@ pub mod latency {
 }
 
 /// Fill-time rewrite annotations for one trace.
+///
+/// Fixed inline arrays of [`MAX_TRACE_LEN`] entries, of which the
+/// first [`PreprocessInfo::len`] are meaningful (the rest stay at
+/// their zero values): preprocessing a trace never allocates, and the
+/// backend copies the dependence masks straight into its scheduler.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PreprocessInfo {
-    /// Post-transformation intra-trace dependences: `deps[i]` lists
-    /// the trace indices instruction `i` must wait for.
-    pub deps: Vec<Vec<u8>>,
+    /// Post-transformation intra-trace dependences: bit `j` of
+    /// `deps[i]` is set when instruction `i` must wait for `j`.
+    pub deps: [u16; MAX_TRACE_LEN],
     /// `true` for instructions whose result was computed at fill
     /// time (constant propagation): they have no input dependences.
-    pub const_folded: Vec<bool>,
-    /// `collapsed_into[i] = Some(j)` when instruction `i` executes on
+    pub const_folded: [bool; MAX_TRACE_LEN],
+    /// `collapsed[i] = Some(j)` when instruction `i` executes on
     /// the combined ALU fused with its producer `j` (so `i` depends
     /// on `j`'s inputs instead of on `j`).
-    pub collapsed: Vec<Option<u8>>,
-    /// Issue priority: instruction indices, highest priority first
-    /// (critical-path list schedule).
-    pub schedule: Vec<u8>,
+    pub collapsed: [Option<u8>; MAX_TRACE_LEN],
+    /// Issue priority: in its first `len` entries, instruction
+    /// indices, highest priority first (critical-path list schedule).
+    pub schedule: [u8; MAX_TRACE_LEN],
+    len: u8,
 }
 
 impl PreprocessInfo {
     /// Number of instructions the info covers.
     pub fn len(&self) -> usize {
-        self.deps.len()
+        usize::from(self.len)
     }
 
     /// Whether the info covers an empty trace (never for built traces).
     pub fn is_empty(&self) -> bool {
-        self.deps.is_empty()
+        self.len == 0
+    }
+
+    /// The issue order: instruction indices, highest priority first.
+    pub fn order(&self) -> &[u8] {
+        &self.schedule[..self.len()]
     }
 
     /// How many instructions were constant-folded.
@@ -97,29 +108,53 @@ impl PreprocessInfo {
     }
 }
 
-/// Raw intra-trace register dependences, with no preprocessing:
-/// `deps[i]` holds the index of the last earlier writer of each of
-/// `i`'s source registers. (Memory dependences within a trace are
-/// enforced by the ARB in the modelled machine and are not part of
-/// the scheduling dependence graph, as in the paper.)
-pub fn trace_deps(trace: &Trace) -> Vec<Vec<u8>> {
+/// Raw intra-trace register producers, with no preprocessing:
+/// `producers[i]` holds the index of the last earlier writer of each
+/// of `i`'s source registers, in [`Op::sources`] order and without
+/// repeats. (Memory dependences within a trace are enforced by the
+/// ARB in the modelled machine and are not part of the scheduling
+/// dependence graph, as in the paper.)
+pub fn trace_producers(trace: &Trace) -> [Producers; MAX_TRACE_LEN] {
     let mut last_writer: [Option<u8>; tpc_isa::NUM_REGS] = [None; tpc_isa::NUM_REGS];
-    let mut deps = Vec::with_capacity(trace.len());
-    for (i, ti) in trace.instrs().iter().enumerate() {
-        let mut d: Vec<u8> = Vec::new();
-        for src in ti.op.sources().iter() {
+    let mut producers = [Producers::default(); MAX_TRACE_LEN];
+    for ((i, ti), p) in trace.instrs().iter().enumerate().zip(&mut producers) {
+        for src in ti.op.sources() {
             if let Some(w) = last_writer[src.index()] {
-                if !d.contains(&w) {
-                    d.push(w);
-                }
+                p.push(w);
             }
         }
-        deps.push(d);
         if let Some(rd) = ti.op.dest() {
-            last_writer[rd.index()] = Some(i as u8);
+            last_writer[rd.index()] = Some(i as u8); // narrow: i < MAX_TRACE_LEN
         }
     }
-    deps
+    producers
+}
+
+/// The in-trace producers of one instruction's (at most two) source
+/// registers, in source order and without repeats.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Producers {
+    idx: [u8; 2],
+    len: u8,
+}
+
+impl Producers {
+    fn push(&mut self, w: u8) {
+        if !self.as_slice().contains(&w) {
+            self.idx[usize::from(self.len)] = w;
+            self.len += 1;
+        }
+    }
+
+    /// The producer indices, first source's producer first.
+    pub fn as_slice(&self) -> &[u8] {
+        &self.idx[..usize::from(self.len)]
+    }
+
+    /// The producers as a bit mask over trace indices.
+    pub fn mask(&self) -> u16 {
+        self.as_slice().iter().fold(0, |m, &j| m | 1 << j)
+    }
 }
 
 /// Whether an op is "simple" enough for the combined shift-add ALU
@@ -148,16 +183,18 @@ fn is_simple_consumer(op: &Op) -> bool {
     )
 }
 
-/// Runs the full preprocessing pipeline over a trace.
+/// Runs the full preprocessing pipeline over a trace. Allocates
+/// nothing.
 pub fn preprocess(trace: &Trace) -> PreprocessInfo {
     let n = trace.len();
     let instrs = trace.instrs();
+    debug_assert!(n <= MAX_TRACE_LEN, "trace longer than MAX_TRACE_LEN");
 
     // ---- constant propagation ------------------------------------
     // Known-at-fill-time register values. A write by an instruction
     // with any unknown input kills the register.
     let mut known: [Option<i64>; tpc_isa::NUM_REGS] = [None; tpc_isa::NUM_REGS];
-    let mut const_folded = vec![false; n];
+    let mut const_folded = [false; MAX_TRACE_LEN];
     for (i, ti) in instrs.iter().enumerate() {
         let op = &ti.op;
         let val = |r: tpc_isa::Reg| -> Option<i64> {
@@ -199,71 +236,62 @@ pub fn preprocess(trace: &Trace) -> PreprocessInfo {
     }
 
     // ---- dependence graph with folding applied --------------------
-    let raw = trace_deps(trace);
-    let mut deps: Vec<Vec<u8>> = raw
-        .iter()
-        .enumerate()
-        .map(|(i, d)| {
-            if const_folded[i] {
-                Vec::new()
-            } else {
-                d.clone()
-            }
-        })
-        .collect();
+    let producers = trace_producers(trace);
+    let mut deps = [0u16; MAX_TRACE_LEN];
+    for i in 0..n {
+        if !const_folded[i] {
+            deps[i] = producers[i].mask();
+        }
+    }
 
     // ---- combined-ALU collapsing ----------------------------------
-    let mut collapsed = vec![None; n];
+    let mut collapsed = [None; MAX_TRACE_LEN];
     for i in 0..n {
         if const_folded[i] || !is_simple_consumer(&instrs[i].op) {
             continue;
         }
-        // Collapse with the producer on i's critical input if that
-        // producer is simple and itself not collapsed or folded.
-        let candidate = deps[i].iter().copied().find(|&j| {
-            let j = j as usize;
+        // Collapse with the first producer, in source order, that is
+        // simple and itself not collapsed or folded.
+        let candidate = producers[i].as_slice().iter().copied().find(|&j| {
+            let j = usize::from(j);
             is_simple_producer(&instrs[j].op) && collapsed[j].is_none() && !const_folded[j]
         });
         if let Some(j) = candidate {
             collapsed[i] = Some(j);
             // i now waits on j's inputs, not on j.
-            let mut nd: Vec<u8> = deps[i].iter().copied().filter(|&d| d != j).collect();
-            for &jd in &deps[j as usize] {
-                if !nd.contains(&jd) {
-                    nd.push(jd);
-                }
-            }
-            deps[i] = nd;
+            deps[i] = (deps[i] & !(1 << j)) | deps[usize::from(j)];
         }
     }
 
     // ---- list schedule --------------------------------------------
     // Priority = critical-path height over the final dependence
-    // graph. Ties broken by program order (stable).
-    let mut consumers: Vec<Vec<u8>> = vec![Vec::new(); n];
-    for (i, d) in deps.iter().enumerate() {
-        for &j in d {
-            consumers[j as usize].push(i as u8);
+    // graph. Ties broken by program order. Walking backwards, every
+    // consumer of `i` (all later in the trace) is final before `i`.
+    let mut height = [0u32; MAX_TRACE_LEN];
+    let mut tail = [0u32; MAX_TRACE_LEN];
+    for i in (0..n).rev() {
+        height[i] = latency::op_latency(instrs[i].op.class()) + tail[i];
+        let mut m = deps[i];
+        while m != 0 {
+            let j = m.trailing_zeros() as usize;
+            tail[j] = tail[j].max(height[i]);
+            m &= m - 1;
         }
     }
-    let mut height = vec![0u32; n];
-    for i in (0..n).rev() {
-        let lat = latency::op_latency(instrs[i].op.class());
-        let tail = consumers[i]
-            .iter()
-            .map(|&c| height[c as usize])
-            .max()
-            .unwrap_or(0);
-        height[i] = lat + tail;
+    let mut schedule = [0u8; MAX_TRACE_LEN];
+    for (i, s) in schedule[..n].iter_mut().enumerate() {
+        *s = i as u8; // narrow: i < MAX_TRACE_LEN
     }
-    let mut schedule: Vec<u8> = (0..n as u8).collect();
-    schedule.sort_by(|&a, &b| height[b as usize].cmp(&height[a as usize]).then(a.cmp(&b)));
+    // Keys are unique (the index breaks ties), so the unstable,
+    // allocation-free sort gives the stable order.
+    schedule[..n].sort_unstable_by_key(|&i| (std::cmp::Reverse(height[usize::from(i)]), i));
 
     PreprocessInfo {
         deps,
         const_folded,
         collapsed,
         schedule,
+        len: n as u8, // narrow: n <= MAX_TRACE_LEN
     }
 }
 
@@ -308,10 +336,11 @@ mod tests {
                 rs2: r(1),
             }, // 2: dep 1 (latest writer)
         ]);
-        let deps = trace_deps(&t);
-        assert_eq!(deps[0], Vec::<u8>::new());
-        assert_eq!(deps[1], vec![0]);
-        assert_eq!(deps[2], vec![1]);
+        let p = trace_producers(&t);
+        assert_eq!(p[0].as_slice(), &[] as &[u8]);
+        assert_eq!(p[1].as_slice(), &[0]);
+        assert_eq!(p[2].as_slice(), &[1]);
+        assert_eq!(p[2].mask(), 1 << 1);
     }
 
     #[test]
@@ -332,8 +361,8 @@ mod tests {
         let info = preprocess(&t);
         assert!(info.const_folded[1]);
         assert!(info.const_folded[2]);
-        assert!(info.deps[1].is_empty());
-        assert!(info.deps[2].is_empty());
+        assert_eq!(info.deps[1], 0);
+        assert_eq!(info.deps[2], 0);
         assert_eq!(info.folded_count(), 2);
     }
 
@@ -357,7 +386,7 @@ mod tests {
         ]);
         let info = preprocess(&t);
         assert!(!info.const_folded[2]);
-        assert_eq!(info.deps[2], vec![1]);
+        assert_eq!(info.deps[2], 1 << 1);
     }
 
     #[test]
@@ -382,8 +411,47 @@ mod tests {
         let info = preprocess(&t);
         assert_eq!(info.collapsed[2], Some(1));
         // 2 now depends on 1's inputs (the load), not on 1.
-        assert_eq!(info.deps[2], vec![0]);
+        assert_eq!(info.deps[2], 1 << 0);
         assert_eq!(info.collapsed_count(), 1);
+    }
+
+    #[test]
+    fn collapsing_prefers_the_first_source_producer() {
+        // Both producers of 4 qualify; the first source's producer
+        // (3) wins even though the second's (2) is earlier in the
+        // trace — a lowest-bit pick from a mask would choose 2.
+        let t = mk_trace(&[
+            Op::Load {
+                rd: r(1),
+                base: r(9),
+                offset: 0,
+            }, // 0
+            Op::Load {
+                rd: r(2),
+                base: r(9),
+                offset: 8,
+            }, // 1
+            Op::AddImm {
+                rd: r(3),
+                rs1: r(2),
+                imm: 4,
+            }, // 2
+            Op::AddImm {
+                rd: r(4),
+                rs1: r(1),
+                imm: 4,
+            }, // 3
+            Op::Add {
+                rd: r(5),
+                rs1: r(4),
+                rs2: r(3),
+            }, // 4: producers [3, 2]
+        ]);
+        let info = preprocess(&t);
+        assert_eq!(trace_producers(&t)[4].as_slice(), &[3, 2]);
+        assert_eq!(info.collapsed[4], Some(3));
+        // 4 waits on 2 and on 3's input (0), not on 3.
+        assert_eq!(info.deps[4], 1 << 0 | 1 << 2);
     }
 
     #[test]
@@ -438,9 +506,9 @@ mod tests {
         ]);
         let info = preprocess(&t);
         // Instruction 0 heads the longest chain → first in schedule.
-        assert_eq!(info.schedule[0], 0);
+        assert_eq!(info.order()[0], 0);
         // The independent immediate load sits late.
-        let pos_imm = info.schedule.iter().position(|&i| i == 1).unwrap();
+        let pos_imm = info.order().iter().position(|&i| i == 1).unwrap();
         assert!(pos_imm >= 2);
     }
 
@@ -460,7 +528,7 @@ mod tests {
             },
         ]);
         let info = preprocess(&t);
-        let mut s = info.schedule.clone();
+        let mut s = info.order().to_vec();
         s.sort_unstable();
         let expect: Vec<u8> = (0..t.len() as u8).collect();
         assert_eq!(s, expect);
@@ -520,7 +588,7 @@ mod tests {
             },
         );
         let info = preprocess(&t);
-        assert_eq!(info.deps[1], vec![0]);
+        assert_eq!(info.deps[1], 1 << 0);
     }
 
     #[test]
@@ -579,10 +647,8 @@ mod tests {
             },
         ]);
         let info = preprocess(&t);
-        for (i, d) in info.deps.iter().enumerate() {
-            for &j in d {
-                assert!((j as usize) < i, "dep {j} of {i} not earlier");
-            }
+        for (i, &d) in info.deps.iter().enumerate() {
+            assert_eq!(d >> i, 0, "a dep of {i} is not earlier: {d:#b}");
             if let Some(j) = info.collapsed[i] {
                 assert!((j as usize) < i, "collapse target {j} of {i} not earlier");
             }

@@ -126,7 +126,10 @@ impl StartPointStack {
     /// Removes start points whose region execution has reached
     /// (called with each retired instruction address).
     pub fn on_retire(&mut self, pc: Addr) {
-        self.entries.retain(|e| e.addr != pc);
+        // Addresses are unique on the stack, so at most one matches.
+        if let Some(i) = self.entries.iter().position(|e| e.addr == pc) {
+            self.entries.remove(i);
+        }
     }
 
     /// Removes start points planted by instructions younger than

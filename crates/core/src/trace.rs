@@ -320,6 +320,25 @@ impl TraceBuilder {
     /// Panics if called after the trace completed (in debug builds),
     /// or if a conditional branch is fed without its resolution.
     pub fn push(&mut self, pc: Addr, op: Op, resolved: Resolution) -> PushResult {
+        match self.accept(pc, op, resolved) {
+            Accepted::Next(next) => PushResult::Continue(next),
+            Accepted::End(stop, successor) => PushResult::Complete(self.complete(stop, successor)),
+        }
+    }
+
+    /// Feeds the next instruction like [`TraceBuilder::push`], but
+    /// discards a trace the instruction completes instead of building
+    /// it, so it never allocates. Returns the next address, or `None`
+    /// when the trace ended here (the builder is then spent).
+    pub fn push_or_discard(&mut self, pc: Addr, op: Op, resolved: Resolution) -> Option<Addr> {
+        match self.accept(pc, op, resolved) {
+            Accepted::Next(next) => Some(next),
+            Accepted::End(..) => None,
+        }
+    }
+
+    /// Appends one instruction and applies the selection rules.
+    fn accept(&mut self, pc: Addr, op: Op, resolved: Resolution) -> Accepted {
         debug_assert!(self.len < MAX_TRACE_LEN, "trace already complete");
         debug_assert!(
             self.len > 0 || pc == self.start,
@@ -360,33 +379,33 @@ impl TraceBuilder {
                     Resolution::Target(t) => Some(t),
                     _ => None,
                 };
-                return PushResult::Complete(self.complete(TraceStop::Return, next));
+                return Accepted::End(TraceStop::Return, next);
             }
             OpClass::IndirectJump => {
                 next = match resolved {
                     Resolution::Target(t) => Some(t),
                     _ => None,
                 };
-                return PushResult::Complete(self.complete(TraceStop::IndirectJump, next));
+                return Accepted::End(TraceStop::IndirectJump, next);
             }
             OpClass::Halt => {
                 next = match resolved {
                     Resolution::Target(t) => Some(t),
                     _ => None,
                 };
-                return PushResult::Complete(self.complete(TraceStop::Halt, next));
+                return Accepted::End(TraceStop::Halt, next);
             }
             _ => {}
         }
         if self.len == MAX_TRACE_LEN {
-            return PushResult::Complete(self.complete(TraceStop::Full, next));
+            return Accepted::End(TraceStop::Full, next);
         }
         if let Some(p) = self.last_backward_branch {
             if idx > p && (idx - p).is_multiple_of(ALIGN_QUANTUM) {
-                return PushResult::Complete(self.complete(TraceStop::Alignment, next));
+                return Accepted::End(TraceStop::Alignment, next);
             }
         }
-        PushResult::Continue(next.expect("non-terminating ops always have a successor"))
+        Accepted::Next(next.expect("non-terminating ops always have a successor"))
     }
 
     fn complete(&mut self, stop: TraceStop, successor: Option<Addr>) -> Trace {
@@ -416,6 +435,14 @@ impl TraceBuilder {
             preprocess: None,
         }
     }
+}
+
+/// What [`TraceBuilder::accept`] decided for one instruction.
+enum Accepted {
+    /// The trace continues at this address.
+    Next(Addr),
+    /// The trace ends here, for this reason, with this successor.
+    End(TraceStop, Option<Addr>),
 }
 
 /// Resolution of the just-pushed instruction's control flow, supplied

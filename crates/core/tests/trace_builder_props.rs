@@ -225,3 +225,30 @@ fn forked_builders_complete_identically() {
         assert!(!a.shares_storage_with(&b), "{at}");
     }
 }
+
+/// `push_or_discard` continues exactly where `push` continues and
+/// ends exactly where `push` completes a trace.
+#[test]
+fn discarding_push_agrees_with_push() {
+    let mut rng = XorShift64::new(0x0D15_CA4D);
+    for case in 0..CASES {
+        let shapes = shapes(&mut rng);
+        let at = format!("case {case}: {shapes:?}");
+        let mut pc = Addr::new(1000);
+        let (mut pushing, mut discarding) = (TraceBuilder::new(pc), TraceBuilder::new(pc));
+        for &shape in &shapes {
+            let (op, resolution) = instr(shape, pc);
+            let next = discarding.push_or_discard(pc, op, resolution);
+            match pushing.push(pc, op, resolution) {
+                PushResult::Continue(want) => {
+                    assert_eq!(next, Some(want), "{at}");
+                    pc = want;
+                }
+                PushResult::Complete(_) => {
+                    assert_eq!(next, None, "{at}");
+                    break;
+                }
+            }
+        }
+    }
+}

@@ -9,8 +9,9 @@ use tpc_isa::Addr;
 /// Holds a fixed number of instructions (256 by default = 16 lines),
 /// fully associative, and — as in the paper — lines are never
 /// replaced: when the cache is full, preconstruction for its region
-/// terminates. The cache is cleared wholesale when it is re-assigned
-/// to a new region.
+/// terminates. The cache is cleared wholesale, in place, when it is
+/// re-assigned to a new region: its storage is allocated once, at
+/// construction.
 #[derive(Debug, Clone)]
 pub struct PrefetchCache {
     lines: Vec<u64>,
@@ -29,9 +30,10 @@ impl PrefetchCache {
             capacity_instrs > 0 && capacity_instrs.is_multiple_of(INSTRS_PER_LINE),
             "capacity must be a positive multiple of {INSTRS_PER_LINE}"
         );
+        let capacity_lines = (capacity_instrs / INSTRS_PER_LINE) as usize;
         PrefetchCache {
-            lines: Vec::new(),
-            capacity_lines: (capacity_instrs / INSTRS_PER_LINE) as usize,
+            lines: Vec::with_capacity(capacity_lines),
+            capacity_lines,
         }
     }
 

@@ -145,6 +145,9 @@ pub struct NextTracePredictor {
     secondary: Vec<TableEntry>,
     history: VecDeque<TraceKey>,
     rhs: Vec<VecDeque<TraceKey>>,
+    /// History buffers released by returns, reused by later calls'
+    /// saves: the return history stack allocates nothing once warm.
+    spare: Vec<VecDeque<TraceKey>>,
     stats: NtpStats,
 }
 
@@ -157,6 +160,7 @@ impl NextTracePredictor {
             secondary: vec![TableEntry::EMPTY; 1usize << config.secondary_bits],
             history: VecDeque::with_capacity(config.history_depth + 1),
             rhs: Vec::with_capacity(config.rhs_depth),
+            spare: Vec::with_capacity(config.rhs_depth + 1),
             stats: NtpStats::default(),
         }
     }
@@ -219,14 +223,20 @@ impl NextTracePredictor {
         // the caller's path instead of the callee's.
         match end {
             TraceEnd::Call => {
-                if self.rhs.len() == self.config.rhs_depth {
-                    self.rhs.remove(0);
-                }
-                self.rhs.push(self.history.clone());
+                let mut saved = if self.rhs.len() == self.config.rhs_depth {
+                    self.rhs.remove(0)
+                } else {
+                    self.spare
+                        .pop()
+                        .unwrap_or_else(|| VecDeque::with_capacity(self.config.history_depth + 1))
+                };
+                saved.clear();
+                saved.extend(self.history.iter().copied());
+                self.rhs.push(saved);
             }
             TraceEnd::Return => {
                 if let Some(saved) = self.rhs.pop() {
-                    self.history = saved;
+                    self.spare.push(std::mem::replace(&mut self.history, saved));
                 }
             }
             TraceEnd::Fallthrough => {}
@@ -371,6 +381,49 @@ mod tests {
             p.observe(key(i * 16, 0, 0), TraceEnd::Fallthrough);
         }
         assert_eq!(p.history().count(), 2);
+    }
+
+    #[test]
+    fn recycled_history_buffers_match_cloned_saves() {
+        // The return history stack reuses released buffers; its
+        // history must evolve exactly as with a fresh clone per call,
+        // including when the stack overflows its depth.
+        let cfg = NtpConfig {
+            rhs_depth: 3,
+            ..NtpConfig::default()
+        };
+        let mut p = NextTracePredictor::new(cfg);
+        let mut history: VecDeque<TraceKey> = VecDeque::new();
+        let mut rhs: Vec<VecDeque<TraceKey>> = Vec::new();
+        let mut rng = tpc_isa::model::XorShift64::new(0x4A5);
+        for i in 0..2_000u32 {
+            let k = key(rng.next_below(64) * 16, 0, 0);
+            let end = match rng.next_below(3) {
+                0 => TraceEnd::Call,
+                1 => TraceEnd::Return,
+                _ => TraceEnd::Fallthrough,
+            };
+            p.observe(k, end);
+            match end {
+                TraceEnd::Call => {
+                    if rhs.len() == cfg.rhs_depth {
+                        rhs.remove(0);
+                    }
+                    rhs.push(history.clone());
+                }
+                TraceEnd::Return => {
+                    if let Some(saved) = rhs.pop() {
+                        history = saved;
+                    }
+                }
+                TraceEnd::Fallthrough => {}
+            }
+            history.push_back(k);
+            while history.len() > cfg.history_depth {
+                history.pop_front();
+            }
+            assert!(p.history().eq(history.iter()), "step {i}");
+        }
     }
 
     #[test]

@@ -232,10 +232,8 @@ impl Backend {
         }
         let order: &[u8] = match info {
             Some(inf) => {
-                for (mask, d) in deps.iter_mut().zip(&inf.deps) {
-                    *mask = d.iter().fold(0, |m, &j| m | 1 << j);
-                }
-                &inf.schedule
+                deps = inf.deps;
+                inf.order()
             }
             None => &PROGRAM_ORDER[..n],
         };

@@ -3,7 +3,7 @@
 //! constraints, for seeded random traces.
 
 use std::collections::BTreeMap;
-use tpc_core::preprocess::{latency::op_latency, preprocess, trace_deps};
+use tpc_core::preprocess::{latency::op_latency, preprocess, trace_producers};
 use tpc_core::{PushResult, Resolution, TraceBuilder};
 use tpc_isa::model::XorShift64;
 use tpc_isa::{Addr, Op, OpClass, Reg, NUM_REGS};
@@ -97,7 +97,7 @@ fn schedule_respects_machine_constraints() {
         assert_eq!(t.len, n, "{at}");
         let (start, done) = (&t.exec_start[..n], &t.exec_done[..n]);
 
-        let deps = trace_deps(&dt.trace);
+        let producers = trace_producers(&dt.trace);
         for (i, ti) in dt.trace.instrs().iter().enumerate() {
             // Nothing executes before the cycle after dispatch.
             assert!(start[i] > dispatch, "{at}: instr {i} too early");
@@ -105,7 +105,7 @@ fn schedule_respects_machine_constraints() {
             let lat = op_latency(ti.op.class()) as u64;
             assert!(done[i] >= start[i] + lat - 1, "{at}: instr {i}");
             // Same-PE bypass: consumers start after producers finish.
-            for &j in &deps[i] {
+            for &j in producers[i].as_slice() {
                 let j = usize::from(j);
                 assert!(
                     start[i] > done[j],
@@ -204,10 +204,11 @@ fn preprocessing_never_breaks_dataflow() {
         dt.trace.set_preprocess(info.clone());
         let mut be = Backend::new(BackendConfig::default());
         let t = be.dispatch(&dt, 0, true);
-        for (i, d) in info.deps.iter().enumerate() {
-            for &j in d {
+        for (i, &d) in info.deps[..info.len()].iter().enumerate() {
+            assert_eq!(d >> i, 0, "case {case}: a dep of {i} is not earlier");
+            for j in (0..i).filter(|&j| d & 1 << j != 0) {
                 assert!(
-                    t.exec_start[i] > t.exec_done[usize::from(j)],
+                    t.exec_start[i] > t.exec_done[j],
                     "case {case}: preprocessed dep {j}→{i} violated in {ops:?}"
                 );
             }
