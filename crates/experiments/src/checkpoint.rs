@@ -32,21 +32,19 @@ use std::path::Path;
 use std::sync::Mutex;
 use tpc_processor::SimStats;
 
-/// Streaming 64-bit FNV-1a hasher — the repo's one content hash,
-/// shared by sweep fingerprints, the `tpc-service` per-cell result
-/// cache keys, and result digests. Stable across runs and platforms
-/// (it is a pure byte fold, no randomized state).
+/// Streaming 64-bit FNV-1a hasher for sweep fingerprints. Stable
+/// across runs and platforms (a pure byte fold, no randomized state).
 #[derive(Debug, Clone)]
-pub struct Fnv64(u64);
+struct Fnv64(u64);
 
 impl Fnv64 {
     /// A hasher at the standard FNV-1a offset basis.
-    pub fn new() -> Self {
+    fn new() -> Self {
         Fnv64(0xcbf2_9ce4_8422_2325)
     }
 
     /// Folds `bytes` into the hash.
-    pub fn write(&mut self, bytes: &[u8]) {
+    fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= b as u64;
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
@@ -54,14 +52,8 @@ impl Fnv64 {
     }
 
     /// The current hash value.
-    pub fn finish(&self) -> u64 {
+    fn finish(&self) -> u64 {
         self.0
-    }
-}
-
-impl Default for Fnv64 {
-    fn default() -> Self {
-        Fnv64::new()
     }
 }
 
@@ -175,7 +167,7 @@ impl SweepCheckpoint {
     /// *subsequent* successful record is not glued onto the fragment
     /// and lost with it.
     pub fn record(&self, cell: usize, stats: &SimStats) -> io::Result<()> {
-        let line = encode_keyed_words("cell", cell as u64, stats);
+        let line = encode_cell(cell, stats);
         let mut file = self
             .file
             .lock()
@@ -189,25 +181,22 @@ impl SweepCheckpoint {
     }
 }
 
-/// Encodes a `{"<key>":<id>,"words":[...]}` JSONL record carrying the
-/// [`SimStats::to_words`] integer codec, newline-terminated — the
-/// line format shared by sweep checkpoints (`key = "cell"`, id =
-/// cell index) and the `tpc-service` result cache (`key = "fp"`, id =
-/// cell fingerprint).
-pub fn encode_keyed_words(key: &str, id: u64, stats: &SimStats) -> String {
+/// Encodes a `{"cell":<index>,"words":[...]}` JSONL record carrying
+/// the [`SimStats::to_words`] integer codec, newline-terminated.
+fn encode_cell(cell: usize, stats: &SimStats) -> String {
     let words: Vec<String> = stats.to_words().iter().map(u64::to_string).collect();
-    format!("{{\"{key}\":{id},\"words\":[{}]}}\n", words.join(","))
+    format!("{{\"cell\":{cell},\"words\":[{}]}}\n", words.join(","))
 }
 
-/// Parses a line produced by [`encode_keyed_words`]. Returns `None`
-/// for torn or corrupt lines: a missing closing brace (killed
-/// writer), a truncated or over-long words array, or non-numeric
-/// fields — the caller skips such lines and the cell re-runs.
-pub fn parse_keyed_words(line: &str, key: &str) -> Option<(u64, SimStats)> {
+/// Parses a line produced by [`encode_cell`]. Returns `None` for torn
+/// or corrupt lines: a missing closing brace (killed writer), a
+/// truncated or over-long words array, or non-numeric fields — the
+/// caller skips such lines and the cell re-runs.
+fn parse_cell(line: &str) -> Option<(usize, SimStats)> {
     if !line.ends_with('}') {
         return None; // torn write
     }
-    let id = field_u64(line, &format!("\"{key}\":"))?;
+    let cell = field_u64(line, "\"cell\":")?;
     let open = line.find("\"words\":[")? + "\"words\":[".len();
     // bound: open <= len, find() returned Some
     let close = line[open..].find(']')? + open;
@@ -216,7 +205,7 @@ pub fn parse_keyed_words(line: &str, key: &str) -> Option<(u64, SimStats)> {
         .split(',')
         .map(|w| w.trim().parse().ok())
         .collect();
-    Some((id, SimStats::from_words(&words?)?))
+    Some((cell as usize, SimStats::from_words(&words?)?))
 }
 
 fn invalid(message: String) -> io::Error {
@@ -240,10 +229,6 @@ fn parse_header(line: &str) -> Option<(u64, usize)> {
         field_u64(line, "\"fingerprint\":")?,
         field_u64(line, "\"cells\":")? as usize,
     ))
-}
-
-fn parse_cell(line: &str) -> Option<(usize, SimStats)> {
-    parse_keyed_words(line, "cell").map(|(i, stats)| (i as usize, stats))
 }
 
 #[cfg(test)]
@@ -418,28 +403,10 @@ mod tests {
             "{{\"cell\":1,\"words\":[12,34{{\"cell\":2,\"words\":[{}]}}",
             words.join(",")
         );
-        assert_eq!(parse_keyed_words(&glued, "cell"), None);
+        assert_eq!(parse_cell(&glued), None);
         // Whereas a clean encode round-trips.
-        let line = encode_keyed_words("cell", 2, &good);
-        assert_eq!(parse_keyed_words(line.trim_end(), "cell"), Some((2, good)));
-    }
-
-    #[test]
-    fn bad_fingerprint_maps_to_permanent_cell_error() {
-        // A checkpoint from a different sweep is a deployment error,
-        // not a transient fault: the supervisor must classify it as
-        // CellError::Checkpoint and *not* retry the cell.
-        let path = temp_path("bad-fp");
-        let _ = std::fs::remove_file(&path);
-        let (ck, _) = SweepCheckpoint::open(&path, 7, 2).unwrap();
-        drop(ck);
-        let err = SweepCheckpoint::open(&path, 8, 2).unwrap_err();
-        let cell_err = crate::par_sweep::CellError::Checkpoint {
-            message: err.to_string(),
-        };
-        assert!(!cell_err.is_retryable());
-        assert_eq!(cell_err.kind(), "checkpoint");
-        let _ = std::fs::remove_file(&path);
+        let line = encode_cell(2, &good);
+        assert_eq!(parse_cell(line.trim_end()), Some((2, good)));
     }
 
     #[test]

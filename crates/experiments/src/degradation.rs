@@ -11,16 +11,15 @@
 //! no-preconstruction baseline, never a cliff and never a wedge.
 //!
 //! The sweep runs hardened: per-cell panic containment and cycle
-//! watchdogs ([`crate::par_sweep::run_cells_checked`]), and optional
-//! JSONL checkpoint/resume ([`crate::checkpoint`]) for interrupted
-//! grids. Rendered output is derived from exact integer counters
-//! only (no wall-clock), so a resumed sweep prints byte-identical
-//! results.
+//! watchdogs ([`crate::par_sweep::run_cell`] under
+//! [`crate::par_sweep::par_try_map`]), and optional JSONL
+//! checkpoint/resume ([`crate::checkpoint`]) for interrupted grids.
+//! Rendered output is derived from exact integer counters only (no
+//! wall-clock), so a resumed sweep prints byte-identical results.
 
 use crate::checkpoint::{sweep_fingerprint, SweepCheckpoint};
 use crate::par_sweep::{
-    effective_jobs, par_map, run_cells_checked, run_cells_resumable, CellBudget, CellError,
-    SweepCell,
+    effective_jobs, par_map, par_try_map, run_cell, CellBudget, CellError, SweepCell,
 };
 use crate::report::{f2, markdown_table};
 use crate::runner::RunParams;
@@ -77,7 +76,12 @@ pub fn build_cells(benchmarks: &[Benchmark], params: RunParams) -> Vec<SweepCell
 }
 
 /// Runs the degradation sweep, optionally checkpointed to
-/// `checkpoint` (resuming any cells already recorded there).
+/// `checkpoint`: cells already recorded there are returned as-is
+/// without re-simulation, and each freshly simulated cell is appended
+/// the moment its worker finishes, so an interrupted sweep loses at
+/// most the in-flight cells. Checkpoints store exact integer
+/// counters, so a resumed sweep's results are bit-identical to an
+/// uninterrupted one.
 ///
 /// # Errors
 ///
@@ -91,14 +95,28 @@ pub fn run(
     checkpoint: Option<&Path>,
 ) -> std::io::Result<Vec<DegradationRow>> {
     let cells = build_cells(benchmarks, params);
-    let results = match checkpoint {
-        Some(path) => {
-            let fp = sweep_fingerprint(&params, &cells);
-            let (ck, prior) = SweepCheckpoint::open(path, fp, cells.len())?;
-            run_cells_resumable(&cells, params, budget, Some(&ck), &prior)
-        }
-        None => run_cells_checked(&cells, params, budget),
+    let resume = match checkpoint {
+        Some(path) => Some(SweepCheckpoint::open(
+            path,
+            sweep_fingerprint(&params, &cells),
+            cells.len(),
+        )?),
+        None => None,
     };
+    let indexed: Vec<(usize, &SweepCell)> = cells.iter().enumerate().collect();
+    let results = par_try_map(&indexed, effective_jobs(params.jobs), |&(i, cell)| {
+        let Some((ck, prior)) = &resume else {
+            return run_cell(cell, params, budget);
+        };
+        if let Some(Some(stats)) = prior.get(i) {
+            return Ok(stats.clone());
+        }
+        let stats = run_cell(cell, params, budget)?;
+        ck.record(i, &stats).map_err(|e| CellError::Checkpoint {
+            message: e.to_string(),
+        })?;
+        Ok(stats)
+    });
     Ok(benchmarks
         .iter()
         .flat_map(|&benchmark| INTENSITIES.iter().map(move |&pm| (benchmark, pm)))

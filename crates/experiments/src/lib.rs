@@ -40,12 +40,9 @@ pub mod runner;
 pub mod tables;
 pub mod workload_stats;
 
-pub use checkpoint::{
-    encode_keyed_words, parse_keyed_words, sweep_fingerprint, Fnv64, SweepCheckpoint,
-};
+pub use checkpoint::{sweep_fingerprint, SweepCheckpoint};
 pub use par_sweep::{
-    available_cores, contain_cell, effective_jobs, exact_jobs, par_map, par_try_map, run_cells,
-    run_cells_checked, run_cells_resumable, run_cells_timed, run_cells_timed_jobs, sweep_grid,
-    CellBudget, CellError, SweepCell,
+    effective_jobs, par_map, par_try_map, run_cell, run_cells, sweep_grid, CellBudget, CellError,
+    SweepCell,
 };
 pub use runner::{simulate, simulate_many, simulate_source, RunParams};

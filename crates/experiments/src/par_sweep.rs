@@ -17,7 +17,6 @@
 //! cell costs (a 1024-entry unified store vs a 64-entry baseline)
 //! load-balance naturally.
 
-use crate::checkpoint::SweepCheckpoint;
 use crate::runner::RunParams;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -66,37 +65,6 @@ impl std::fmt::Display for CellError {
     }
 }
 
-impl CellError {
-    /// Whether a supervisor may usefully re-run the cell.
-    ///
-    /// * [`CellError::Panic`] — retryable: the panic may be chaos- or
-    ///   environment-induced (a poisoned worker, an injected fault);
-    ///   a deterministic config assertion will simply fail again and
-    ///   exhaust the bounded attempt budget.
-    /// * [`CellError::Timeout`] — retryable: the cycle watchdog is
-    ///   deterministic, but a supervisor may re-run under a larger
-    ///   budget, and chaos harnesses starve budgets transiently.
-    /// * [`CellError::Checkpoint`] — **not** retryable: a checkpoint
-    ///   that belongs to a different sweep (bad fingerprint) or a
-    ///   dead cache file will not heal by re-simulating the cell.
-    pub fn is_retryable(&self) -> bool {
-        match self {
-            CellError::Panic { .. } | CellError::Timeout { .. } => true,
-            CellError::Checkpoint { .. } => false,
-        }
-    }
-
-    /// Short machine-readable kind tag (`panic` / `timeout` /
-    /// `checkpoint`), used by error manifests.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            CellError::Panic { .. } => "panic",
-            CellError::Timeout { .. } => "timeout",
-            CellError::Checkpoint { .. } => "checkpoint",
-        }
-    }
-}
-
 impl std::error::Error for CellError {}
 
 impl From<BudgetExceeded> for CellError {
@@ -121,7 +89,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Cores available to this process (1 when undetectable).
-pub fn available_cores() -> usize {
+fn available_cores() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -131,8 +99,7 @@ pub fn available_cores() -> usize {
 /// available core", and explicit requests are **clamped to the
 /// available cores** — `--jobs 4` on a 1-core box runs one worker
 /// instead of oversubscribing by default (time-slicing threads only
-/// adds scheduling overhead; results are identical either way). Use
-/// [`exact_jobs`] to deliberately oversubscribe, e.g. to measure it.
+/// adds scheduling overhead; results are identical either way).
 pub fn effective_jobs(requested: u64) -> usize {
     let cores = available_cores();
     if requested == 0 {
@@ -142,23 +109,9 @@ pub fn effective_jobs(requested: u64) -> usize {
     }
 }
 
-/// Resolves a jobs request without the core clamp: the explicit
-/// override for callers that *want* more workers than cores
-/// (`bench_throughput` measures oversubscription on purpose). `0`
-/// still means "one per available core".
-pub fn exact_jobs(requested: u64) -> usize {
-    if requested == 0 {
-        available_cores()
-    } else {
-        requested as usize
-    }
-}
-
 /// Runs `f` with panic containment: a panic becomes that cell's
-/// [`CellError::Panic`] instead of unwinding into the caller. This is
-/// the single containment point shared by [`par_try_map`] workers and
-/// the `tpc-service` supervisor.
-pub fn contain_cell<R>(f: impl FnOnce() -> Result<R, CellError>) -> Result<R, CellError> {
+/// [`CellError::Panic`] instead of unwinding into the caller.
+fn contain_cell<R>(f: impl FnOnce() -> Result<R, CellError>) -> Result<R, CellError> {
     catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|payload| {
         Err(CellError::Panic {
             message: panic_message(payload),
@@ -245,12 +198,15 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    par_try_map(items, jobs, |item| Ok(f(item)))
+    unwrap_all(par_try_map(items, jobs, |item| Ok(f(item))))
+}
+
+/// Unwraps every result of an infallible fan-out, re-raising the
+/// first contained failure on the calling thread.
+fn unwrap_all<R>(results: Vec<Result<R, CellError>>) -> Vec<R> {
+    results
         .into_iter()
-        .map(|r| match r {
-            Ok(v) => v,
-            Err(e) => panic!("{e}"),
-        })
+        .map(|r| r.unwrap_or_else(|e| panic!("{e}")))
         .collect()
 }
 
@@ -286,43 +242,6 @@ impl SweepCell {
     }
 }
 
-/// Runs every cell with `params`' warm-up/measure window, fanning out
-/// across `params.jobs` threads. Results are in cell order.
-pub fn run_cells(cells: &[SweepCell], params: RunParams) -> Vec<SimStats> {
-    run_cells_timed(cells, params)
-        .into_iter()
-        .map(|(stats, _)| stats)
-        .collect()
-}
-
-/// Like [`run_cells`], but also reports each cell's wall time in
-/// milliseconds (measured on the worker that ran it).
-///
-/// The per-cell breakdown separates the two ways a sweep can be slow:
-/// uneven cell costs (one expensive configuration dominating the
-/// critical path) versus scheduling overhead (the *sum* of cell times
-/// growing when `jobs` exceeds the available cores and threads
-/// time-slice against each other). `bench_throughput` records both.
-pub fn run_cells_timed(cells: &[SweepCell], params: RunParams) -> Vec<(SimStats, f64)> {
-    run_cells_timed_jobs(cells, params, effective_jobs(params.jobs))
-}
-
-/// [`run_cells_timed`] with an explicit worker count that bypasses
-/// the core clamp — pair with [`exact_jobs`] when oversubscription is
-/// the thing being measured.
-pub fn run_cells_timed_jobs(
-    cells: &[SweepCell],
-    params: RunParams,
-    jobs: usize,
-) -> Vec<(SimStats, f64)> {
-    par_map(cells, jobs, |cell| {
-        let t = std::time::Instant::now();
-        let mut sim = Simulator::new(&cell.program, cell.config.clone());
-        let stats = sim.run_with_warmup(params.warmup, params.measure);
-        (stats, t.elapsed().as_secs_f64() * 1e3)
-    })
-}
-
 /// Per-cell cycle watchdog budget: a cell may spend at most
 /// `instructions × cycles_per_instruction` cycles (with an absolute
 /// `floor` so short runs aren't starved). Twenty cycles per
@@ -354,61 +273,37 @@ impl CellBudget {
     }
 }
 
-/// Hardened variant of [`run_cells`]: panics are contained to the
-/// cell that raised them ([`CellError::Panic`]), and each cell runs
-/// under `budget`'s cycle watchdog ([`CellError::Timeout`]). The
-/// other cells' results are unaffected by any failure.
-pub fn run_cells_checked(
-    cells: &[SweepCell],
+/// Runs one cell: warm-up, statistics reset and measurement under
+/// `budget`'s cycle watchdog. A wedged cell returns
+/// [`CellError::Timeout`]; callers fan cells out with [`par_try_map`],
+/// which also contains a panicking cell to a [`CellError::Panic`].
+///
+/// # Errors
+///
+/// [`CellError::Timeout`] when the watchdog fires first.
+pub fn run_cell(
+    cell: &SweepCell,
     params: RunParams,
     budget: CellBudget,
-) -> Vec<Result<SimStats, CellError>> {
-    run_cells_resumable(cells, params, budget, None, &[])
+) -> Result<SimStats, CellError> {
+    let max = budget.max_cycles(params.warmup + params.measure);
+    let mut sim = Simulator::new(&cell.program, cell.config.clone());
+    Ok(sim.run_with_warmup_budgeted(params.warmup, params.measure, max)?)
 }
 
-/// Like [`run_cells_checked`], with JSONL checkpoint/resume: cells
-/// already present in `prior` (loaded by
-/// [`SweepCheckpoint::open`](crate::checkpoint::SweepCheckpoint::open))
-/// are returned as-is without re-simulation, and each freshly
-/// completed cell is appended to `checkpoint` the moment its worker
-/// finishes — so an interrupted sweep loses at most the in-flight
-/// cells.
+/// Runs every cell through [`run_cell`] under the default watchdog,
+/// fanning out across `params.jobs` threads. Results are in cell
+/// order.
 ///
-/// Simulations are deterministic and checkpoints store exact integer
-/// counters, so a resumed sweep's final results are bit-identical to
-/// an uninterrupted one.
-pub fn run_cells_resumable(
-    cells: &[SweepCell],
-    params: RunParams,
-    budget: CellBudget,
-    checkpoint: Option<&SweepCheckpoint>,
-    prior: &[Option<SimStats>],
-) -> Vec<Result<SimStats, CellError>> {
-    let todo: Vec<(usize, &SweepCell)> = cells
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| prior.get(*i).is_none_or(|p| p.is_none()))
-        .collect();
-    let max = budget.max_cycles(params.warmup + params.measure);
-    let fresh = par_try_map(&todo, effective_jobs(params.jobs), |&(i, cell)| {
-        let mut sim = Simulator::new(&cell.program, cell.config.clone());
-        let stats = sim.run_with_warmup_budgeted(params.warmup, params.measure, max)?;
-        if let Some(ck) = checkpoint {
-            ck.record(i, &stats).map_err(|e| CellError::Checkpoint {
-                message: e.to_string(),
-            })?;
-        }
-        Ok(stats)
-    });
-    let mut fresh_iter = fresh.into_iter();
-    (0..cells.len())
-        .map(|i| match prior.get(i).and_then(Clone::clone) {
-            Some(stats) => Ok(stats),
-            None => fresh_iter
-                .next()
-                .expect("one fresh result per cell missing from the checkpoint"),
-        })
-        .collect()
+/// # Panics
+///
+/// When any cell fails: the grids built on this have no row for a
+/// missing cell. [`par_try_map`] over [`run_cell`] keeps failures
+/// per-cell instead.
+pub fn run_cells(cells: &[SweepCell], params: RunParams) -> Vec<SimStats> {
+    unwrap_all(par_try_map(cells, effective_jobs(params.jobs), |cell| {
+        run_cell(cell, params, CellBudget::default())
+    }))
 }
 
 /// Generates each benchmark's program once (itself in parallel) and
@@ -442,6 +337,18 @@ pub fn sweep_grid(
 mod tests {
     use super::*;
 
+    /// Every cell through [`run_cell`] under `budget`, failures kept
+    /// per cell.
+    fn run_checked(
+        cells: &[SweepCell],
+        params: RunParams,
+        budget: CellBudget,
+    ) -> Vec<Result<SimStats, CellError>> {
+        par_try_map(cells, effective_jobs(params.jobs), |cell| {
+            run_cell(cell, params, budget)
+        })
+    }
+
     #[test]
     fn par_map_preserves_input_order() {
         let items: Vec<u64> = (0..40).collect();
@@ -473,38 +380,12 @@ mod tests {
     }
 
     #[test]
-    fn effective_jobs_clamps_to_cores_but_exact_does_not() {
+    fn effective_jobs_clamps_to_cores() {
+        // An explicit request never exceeds the machine.
         let cores = available_cores();
-        // An explicit request never exceeds the machine...
         assert_eq!(effective_jobs(3), 3.min(cores));
         assert_eq!(effective_jobs(u64::MAX), cores);
         assert_eq!(effective_jobs(1), 1);
-        // ...unless the caller opts into oversubscription.
-        assert_eq!(exact_jobs(cores as u64 * 4), cores * 4);
-        assert_eq!(exact_jobs(0), cores);
-    }
-
-    #[test]
-    fn cell_error_retry_classification() {
-        // Hung cell (watchdog) → Timeout, retryable.
-        let timeout = CellError::Timeout {
-            cycles: 50,
-            retired: 3,
-        };
-        assert!(timeout.is_retryable());
-        assert_eq!(timeout.kind(), "timeout");
-        // Panicking cell → Panic, retryable (bounded by the caller).
-        let panic = CellError::Panic {
-            message: "boom".into(),
-        };
-        assert!(panic.is_retryable());
-        assert_eq!(panic.kind(), "panic");
-        // Checkpoint trouble (e.g. a bad fingerprint) → permanent.
-        let ckpt = CellError::Checkpoint {
-            message: "checkpoint belongs to a different sweep".into(),
-        };
-        assert!(!ckpt.is_retryable());
-        assert_eq!(ckpt.kind(), "checkpoint");
     }
 
     #[test]
@@ -563,8 +444,8 @@ mod tests {
         // geometry (63 entries don't divide into ways), so this cell
         // panics inside the worker. The acceptance bar: the sweep
         // completes, that cell reports CellError::Panic, every other
-        // cell's result is correct (matches an unhardened run of the
-        // same cell).
+        // cell's result is correct (matches a run of that cell
+        // alone).
         let program = Arc::new(WorkloadBuilder::new(Benchmark::Compress).seed(1).build());
         let cells = [
             SweepCell::new(Arc::clone(&program), SimConfig::baseline(64)),
@@ -577,19 +458,18 @@ mod tests {
             jobs: 2,
             ..RunParams::quick()
         };
-        let results = run_cells_checked(&cells, params, CellBudget::default());
+        let results = run_checked(&cells, params, CellBudget::default());
         assert!(results[0].is_ok());
         match &results[1] {
-            Err(e @ CellError::Panic { message }) => {
+            Err(CellError::Panic { message }) => {
                 assert!(message.contains("entries"), "message: {message}");
-                assert!(e.is_retryable(), "panics are retryable (bounded)");
             }
             other => panic!("expected a panic error, got {other:?}"),
         }
         assert!(results[2].is_ok());
-        // The surviving cells match an unhardened run exactly.
-        let clean = run_cells(&cells[..1], params);
-        assert_eq!(results[0].as_ref().unwrap(), &clean[0]);
+        // The surviving cells match a run of the same cell alone.
+        let alone = run_cells(&cells[..1], params);
+        assert_eq!(results[0].as_ref().unwrap(), &alone[0]);
     }
 
     #[test]
@@ -611,19 +491,18 @@ mod tests {
             cycles_per_instruction: 0,
             floor: 50,
         };
-        let results = run_cells_checked(&cells, params, starved);
+        let results = run_checked(&cells, params, starved);
         for r in &results {
             match r {
-                Err(e @ CellError::Timeout { cycles, retired }) => {
+                Err(CellError::Timeout { cycles, retired }) => {
                     assert!(*cycles >= 50);
                     assert!(*retired < 110_000);
-                    assert!(e.is_retryable(), "a hung cell is retryable");
                 }
                 other => panic!("expected timeout, got {other:?}"),
             }
         }
         // And a generous budget completes.
-        let fine = run_cells_checked(&cells, params, CellBudget::default());
+        let fine = run_checked(&cells, params, CellBudget::default());
         assert!(fine.iter().all(Result::is_ok));
     }
 
@@ -639,11 +518,11 @@ mod tests {
             measure: 4_000,
             ..RunParams::quick()
         };
-        let plain = run_cells(&cells, params);
-        let hardened: Vec<SimStats> = run_cells_checked(&cells, params, CellBudget::default())
-            .into_iter()
-            .map(|r| r.expect("generous budget"))
-            .collect();
-        assert_eq!(plain, hardened, "watchdog path changes nothing");
+        for cell in &cells {
+            let plain = Simulator::new(&cell.program, cell.config.clone())
+                .run_with_warmup(params.warmup, params.measure);
+            let hardened = run_cell(cell, params, CellBudget::default()).expect("generous budget");
+            assert_eq!(plain, hardened, "watchdog path changes nothing");
+        }
     }
 }

@@ -376,72 +376,85 @@ mod tests {
         assert_ne!(encode(&Op::Nop).unwrap(), 0);
     }
 
-    #[cfg(feature = "proptest-tests")]
     mod props {
         use super::*;
-        use proptest::prelude::*;
+        use crate::model::XorShift64;
 
-        fn arb_reg() -> impl Strategy<Value = Reg> {
-            (0u8..32).prop_map(Reg::new)
+        const CASES: u32 = 4096;
+
+        fn reg(rng: &mut XorShift64) -> Reg {
+            Reg::new(rng.next_below(32) as u8)
         }
 
-        fn arb_op() -> impl Strategy<Value = Op> {
-            prop_oneof![
-                (arb_reg(), arb_reg(), arb_reg()).prop_map(|(rd, rs1, rs2)| Op::Add {
-                    rd,
-                    rs1,
-                    rs2
-                }),
-                (arb_reg(), arb_reg(), arb_reg()).prop_map(|(rd, rs1, rs2)| Op::Xor {
-                    rd,
-                    rs1,
-                    rs2
-                }),
-                (arb_reg(), arb_reg(), 0u8..32).prop_map(|(rd, rs1, shamt)| Op::Shl {
-                    rd,
-                    rs1,
-                    shamt
-                }),
-                (arb_reg(), arb_reg(), -32768i32..=32767).prop_map(|(rd, rs1, imm)| Op::AddImm {
-                    rd,
-                    rs1,
-                    imm
-                }),
-                (arb_reg(), -(1i32 << 20)..(1i32 << 20))
-                    .prop_map(|(rd, imm)| Op::LoadImm { rd, imm }),
-                (arb_reg(), arb_reg(), -32768i32..=32767).prop_map(|(rd, base, offset)| Op::Load {
-                    rd,
-                    base,
-                    offset
-                }),
-                (arb_reg(), arb_reg(), -32768i32..=32767)
-                    .prop_map(|(src, base, offset)| Op::Store { src, base, offset }),
-                (0usize..4, arb_reg(), arb_reg(), 0u32..65536).prop_map(|(c, rs1, rs2, t)| {
-                    Op::Branch {
-                        cond: BranchCond::ALL[c],
-                        rs1,
-                        rs2,
-                        target: Addr::new(t),
-                    }
-                }),
-                (0u32..(1 << 26)).prop_map(|t| Op::Jump {
-                    target: Addr::new(t)
-                }),
-                (0u32..(1 << 26)).prop_map(|t| Op::Call {
-                    target: Addr::new(t)
-                }),
-                Just(Op::Return),
-                arb_reg().prop_map(|rs1| Op::IndirectJump { rs1 }),
-                Just(Op::Halt),
-                Just(Op::Nop),
-            ]
+        /// A value uniform in `[lo, hi]`.
+        fn int(rng: &mut XorShift64, lo: i32, hi: i32) -> i32 {
+            lo + rng.next_below((hi - lo) as u32 + 1) as i32
         }
 
-        proptest! {
-            #[test]
-            fn encode_decode_roundtrip(op in arb_op()) {
+        /// Any op whose fields are in encodable range, every opcode
+        /// family equally likely.
+        fn op(rng: &mut XorShift64) -> Op {
+            match rng.next_below(14) {
+                0 => Op::Add {
+                    rd: reg(rng),
+                    rs1: reg(rng),
+                    rs2: reg(rng),
+                },
+                1 => Op::Xor {
+                    rd: reg(rng),
+                    rs1: reg(rng),
+                    rs2: reg(rng),
+                },
+                2 => Op::Shl {
+                    rd: reg(rng),
+                    rs1: reg(rng),
+                    shamt: rng.next_below(32) as u8,
+                },
+                3 => Op::AddImm {
+                    rd: reg(rng),
+                    rs1: reg(rng),
+                    imm: int(rng, -32768, 32767),
+                },
+                4 => Op::LoadImm {
+                    rd: reg(rng),
+                    imm: int(rng, -(1 << 20), (1 << 20) - 1),
+                },
+                5 => Op::Load {
+                    rd: reg(rng),
+                    base: reg(rng),
+                    offset: int(rng, -32768, 32767),
+                },
+                6 => Op::Store {
+                    src: reg(rng),
+                    base: reg(rng),
+                    offset: int(rng, -32768, 32767),
+                },
+                7 => Op::Branch {
+                    cond: BranchCond::ALL[rng.next_below(4) as usize],
+                    rs1: reg(rng),
+                    rs2: reg(rng),
+                    target: Addr::new(rng.next_below(65536)),
+                },
+                8 => Op::Jump {
+                    target: Addr::new(rng.next_below(1 << 26)),
+                },
+                9 => Op::Call {
+                    target: Addr::new(rng.next_below(1 << 26)),
+                },
+                10 => Op::Return,
+                11 => Op::IndirectJump { rs1: reg(rng) },
+                12 => Op::Halt,
+                _ => Op::Nop,
+            }
+        }
+
+        #[test]
+        fn encode_decode_roundtrip() {
+            let mut rng = XorShift64::new(0x00E9_C0DE);
+            for case in 0..CASES {
+                let op = op(&mut rng);
                 let word = encode(&op).expect("all generated ops are in range");
-                prop_assert_eq!(decode(word).expect("valid word"), op);
+                assert_eq!(decode(word).expect("valid word"), op, "case {case}");
             }
         }
     }

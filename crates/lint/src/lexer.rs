@@ -1,6 +1,5 @@
-//! A hand-rolled Rust lexer, in the style of the service crate's
-//! std-only JSON parser: offline-safe, no `syn`, no proc-macro
-//! machinery.
+//! A hand-rolled, std-only Rust lexer: offline-safe, no `syn`, no
+//! proc-macro machinery.
 //!
 //! The lexer is **lossless**: every byte of the input lands in
 //! exactly one token (trivia — whitespace and comments — included),

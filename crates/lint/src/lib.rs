@@ -2,8 +2,8 @@
 //! workspace.
 //!
 //! Every scaling claim this repo makes — bit-identical sweeps across
-//! `--jobs`, content-addressed cell caching, seed-derived backoff,
-//! fault schedules as pure functions of (plan, cycle) — rests on
+//! `--jobs`, checkpoints that resume byte-identically, fault
+//! schedules as pure functions of (plan, cycle) — rests on
 //! invariants that `clippy` cannot express. This crate parses the
 //! workspace's **own** Rust source with a hand-rolled lexer and
 //! token-tree parser (std-only, offline, no `syn`) and enforces
@@ -12,18 +12,16 @@
 //! * **Determinism** ([`rules::determinism`]) — no `HashMap`/
 //!   `HashSet`, wall clocks, thread identity, or pointer-value
 //!   formatting in production paths that feed `SimStats`,
-//!   checkpoints, the result cache, or reports.
+//!   checkpoints, or reports.
 //! * **Panic hygiene** ([`rules::panics`]) — no `unwrap`/`expect`/
-//!   `panic!` and no uncommented indexing in the supervised worker
-//!   and daemon paths, where `catch_unwind` retry classification
-//!   requires panics to be exceptional.
+//!   `panic!` and no uncommented indexing in the sweep fan-out and
+//!   checkpoint modules, where per-cell panic containment requires
+//!   panics to be exceptional.
 //! * **Hot-path arithmetic** ([`rules::arith`]) — narrowing casts in
 //!   the per-cycle simulator loop need explicit justification.
 //! * **Cross-file conformance** ([`rules::conformance`]) — all-kinds
-//!   fault coverage in the degradation sweep, the service wire
-//!   protocol across `spec.rs`/`client.rs`/`server.rs`, `--jobs` on
-//!   every experiment bin, and differential coverage of every
-//!   frontend.
+//!   fault coverage in the degradation sweep, `--jobs` on every
+//!   experiment bin, and differential coverage of every frontend.
 //!
 //! Suppressions live in `lint_allow.txt` at the workspace root; every
 //! entry carries a mandatory written justification and goes stale

@@ -4,8 +4,7 @@
 //! machine-readable JSON summary (`BENCH_lint.json`) with per-rule
 //! counts. Both are byte-deterministic: findings are sorted by
 //! (file, line, rule) before rendering, and the JSON writer emits
-//! keys in a fixed order with the same minimal string escaping as
-//! the service crate's protocol writer.
+//! keys in a fixed order with minimal string escaping.
 
 /// One rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -7,10 +7,6 @@
 //!   fault kind through `FaultPlan::all`. (The `FaultKind` list
 //!   itself, its count, `ALL`, `name()` and the simulator's
 //!   `apply_faults` match are kept in step by the compiler.)
-//! * `conf-protocol`: ops the client/spec send must be exactly the
-//!   ops the server matches; events the server emits must be
-//!   exactly the events the client matches; reply ops the client
-//!   checks must be ones the server emits.
 //! * `conf-jobs-flag`: every experiment bin must expose and
 //!   document `--jobs`.
 //! * `conf-frontend-matrix`: every `impl Frontend for <Type>` in the
@@ -20,7 +16,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::lexer::{Tok, TokKind};
+use crate::lexer::TokKind;
 use crate::report::Finding;
 use crate::rules::{finding, for_each_seq};
 use crate::tree::{walk, Tree};
@@ -29,7 +25,6 @@ use crate::workspace::{SourceFile, Workspace};
 /// Runs every conformance rule over the workspace.
 pub fn check(ws: &Workspace, out: &mut Vec<Finding>) {
     faultkind(ws, out);
-    protocol(ws, out);
     jobs_flag(ws, out);
     frontend_matrix(ws, out);
 }
@@ -40,7 +35,7 @@ fn broken(rule: &'static str, file: &SourceFile, msg: String) -> Finding {
     finding(rule, file, 1, format!("extraction failed: {msg}"))
 }
 
-// ---- shared extraction helpers ----------------------------------
+// ---- extraction helpers -----------------------------------------
 
 /// All identifier texts in a forest.
 fn idents(trees: &[Tree]) -> Vec<String> {
@@ -53,89 +48,6 @@ fn idents(trees: &[Tree]) -> Vec<String> {
         }
     });
     out
-}
-
-/// Decoded content of a string-literal token (quotes stripped,
-/// `\"` and `\\` unescaped; raw strings have their fences stripped).
-fn str_content(tok: &Tok) -> Option<String> {
-    match tok.kind {
-        TokKind::Str => {
-            let inner = tok.text.get(1..tok.text.len().saturating_sub(1))?;
-            Some(inner.replace("\\\"", "\"").replace("\\\\", "\\"))
-        }
-        TokKind::RawStr => {
-            let start = tok.text.find('"')? + 1;
-            let end = tok.text.rfind('"')?;
-            tok.text.get(start..end).map(str::to_string)
-        }
-        _ => None,
-    }
-}
-
-/// String-literal contents of every `Some("…")` pattern followed by
-/// `=>` or `|` — i.e. match arms over an optional string field.
-fn match_arm_strs(file: &SourceFile, preceded_by_eq: bool) -> Vec<String> {
-    let mut out = Vec::new();
-    for_each_seq(&file.trees, &mut |seq| {
-        for (i, t) in seq.iter().enumerate() {
-            if !t.is_ident("Some") {
-                continue;
-            }
-            let Some(arg) = seq.get(i + 1) else { continue };
-            if !arg.is_group('(') || arg.children().len() != 1 {
-                continue;
-            }
-            let Some(Tree::Leaf(tok)) = arg.children().first() else {
-                continue;
-            };
-            let Some(content) = str_content(tok) else {
-                continue;
-            };
-            let is_arm = seq
-                .get(i + 2)
-                .is_some_and(|n| n.is_punct("=>") || n.is_punct("|"));
-            let is_eq = i > 0 && seq[i - 1].is_punct("==");
-            let wanted = if preceded_by_eq {
-                is_eq
-            } else {
-                is_arm && !is_eq
-            };
-            if wanted {
-                out.push(content);
-            }
-        }
-    });
-    sort_dedup(out)
-}
-
-/// `key:"value"` occurrences embedded inside the file's string
-/// literals — the wire-format ops/events the code writes.
-fn embedded_values(file: &SourceFile, key: &str) -> Vec<String> {
-    let marker = format!("\"{key}\":\"");
-    let mut out = Vec::new();
-    walk(&file.trees, &mut |t| {
-        let Tree::Leaf(tok) = t else { return };
-        let Some(content) = str_content(tok) else {
-            return;
-        };
-        let mut rest = content.as_str();
-        while let Some(at) = rest.find(&marker) {
-            let tail = &rest[at + marker.len()..];
-            if let Some(end) = tail.find('"') {
-                out.push(tail[..end].to_string());
-                rest = &tail[end..];
-            } else {
-                break;
-            }
-        }
-    });
-    sort_dedup(out)
-}
-
-fn sort_dedup(mut v: Vec<String>) -> Vec<String> {
-    v.sort();
-    v.dedup();
-    v
 }
 
 // ---- conf-faultkind ---------------------------------------------
@@ -164,59 +76,6 @@ fn faultkind(ws: &Workspace, out: &mut Vec<Finding>) {
             1,
             "degradation experiment no longer sweeps all fault kinds (FaultPlan::all)".to_string(),
         ));
-    }
-}
-
-// ---- conf-protocol ----------------------------------------------
-
-fn protocol(ws: &Workspace, out: &mut Vec<Finding>) {
-    const RULE: &str = "conf-protocol";
-    let (Some(spec), Some(client), Some(server)) = (
-        ws.get("crates/service/src/spec.rs"),
-        ws.get("crates/service/src/client.rs"),
-        ws.get("crates/service/src/server.rs"),
-    ) else {
-        return;
-    };
-    // Ops the client side puts on the wire vs ops the server
-    // dispatches on.
-    let mut sent_ops = embedded_values(client, "op");
-    sent_ops.extend(embedded_values(spec, "op"));
-    let sent_ops = sort_dedup(sent_ops);
-    let served_ops = match_arm_strs(server, false);
-    if sent_ops != served_ops {
-        out.push(finding(
-            RULE,
-            server,
-            1,
-            format!("ops sent by client/spec {sent_ops:?} != ops matched by server {served_ops:?}"),
-        ));
-    }
-    // Events the server emits vs events the client dispatches on.
-    let emitted_events = embedded_values(server, "event");
-    let handled_events = match_arm_strs(client, false);
-    if emitted_events != handled_events {
-        out.push(finding(
-            RULE,
-            client,
-            1,
-            format!(
-                "events emitted by server {emitted_events:?} != events matched by client \
-                 {handled_events:?}"
-            ),
-        ));
-    }
-    // Reply ops the client insists on must be ones the server emits.
-    let reply_ops = embedded_values(server, "op");
-    for checked in match_arm_strs(client, true) {
-        if !reply_ops.contains(&checked) {
-            out.push(finding(
-                RULE,
-                client,
-                1,
-                format!("client checks reply op {checked:?} that the server never emits"),
-            ));
-        }
     }
 }
 
@@ -309,20 +168,6 @@ mod tests {
     }
 
     #[test]
-    fn embedded_and_match_arm_strings() {
-        let f = file(
-            "x.rs",
-            "fn f(k: Option<&str>) { let m = \"{\\\"op\\\":\\\"ping\\\",\\\"event\\\":\\\"done\\\"}\";\n\
-             match k { Some(\"a\") | Some(\"b\") => {}, _ => {} }\n\
-             if k == Some(\"ok\") {} }",
-        );
-        assert_eq!(embedded_values(&f, "op"), ["ping"]);
-        assert_eq!(embedded_values(&f, "event"), ["done"]);
-        assert_eq!(match_arm_strs(&f, false), ["a", "b"]);
-        assert_eq!(match_arm_strs(&f, true), ["ok"]);
-    }
-
-    #[test]
     fn degradation_must_sweep_every_fault_kind() {
         let path = "crates/experiments/src/degradation.rs";
         let good = file(path, "fn f() { let p = FaultPlan::all(1, 40); }");
@@ -332,42 +177,6 @@ mod tests {
             faultkind(&Workspace { files: vec![f] }, &mut out);
             assert_eq!(out.len(), findings, "{out:?}");
         }
-    }
-
-    #[test]
-    fn protocol_drift_is_flagged() {
-        let spec = file(
-            "crates/service/src/spec.rs",
-            "fn f() -> String { \"{\\\"op\\\":\\\"sweep\\\"}\".into() }",
-        );
-        let client = file(
-            "crates/service/src/client.rs",
-            "fn f(k: Option<&str>) { let p = \"{\\\"op\\\":\\\"ping\\\"}\";\n\
-             match k { Some(\"cell\") => {}, _ => {} } }",
-        );
-        let server = file(
-            "crates/service/src/server.rs",
-            "fn f(k: Option<&str>) { match k { Some(\"ping\") | Some(\"sweep\") => {}, _ => {} }\n\
-             let e = \"{\\\"event\\\":\\\"cell\\\"}\"; let r = \"{\\\"op\\\":\\\"accepted\\\"}\"; }",
-        );
-        let ws = Workspace {
-            files: vec![spec, client, server],
-        };
-        let mut out = Vec::new();
-        protocol(&ws, &mut out);
-        assert!(out.is_empty(), "{out:?}");
-        // Now drift: server stops matching "sweep".
-        let server2 = file(
-            "crates/service/src/server.rs",
-            "fn f(k: Option<&str>) { match k { Some(\"ping\") => {}, _ => {} }\n\
-             let e = \"{\\\"event\\\":\\\"cell\\\"}\"; }",
-        );
-        let mut ws2 = ws;
-        ws2.files.pop();
-        ws2.files.push(server2);
-        let mut out2 = Vec::new();
-        protocol(&ws2, &mut out2);
-        assert!(out2.iter().any(|f| f.msg.contains("ops sent")));
     }
 
     #[test]

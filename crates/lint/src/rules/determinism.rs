@@ -1,7 +1,7 @@
 //! Nondeterminism-hazard rules.
 //!
-//! Everything this repo publishes — `SimStats`, checkpoints, the
-//! result cache, `BENCH_*.json`, `report_full.md` — must be a pure
+//! Everything this repo publishes — `SimStats`, checkpoints,
+//! `BENCH_*.json`, `report_full.md` — must be a pure
 //! function of (program, config, seed). Three per-file rules guard
 //! that:
 //!

@@ -7,8 +7,8 @@
 //!   arithmetic) that scan token trees of one file at a time, scoped
 //!   by path; and
 //! * **cross-file conformance passes** that extract facts from
-//!   several files (fault-plan coverage, protocol string literals,
-//!   CLI flags, frontend impls) and compare them.
+//!   several files (fault-plan coverage, CLI flags, frontend impls)
+//!   and compare them.
 
 pub mod arith;
 pub mod conformance;
@@ -29,7 +29,6 @@ pub const RULE_IDS: &[&str] = &[
     "panic-index",
     "hot-arith",
     "conf-faultkind",
-    "conf-protocol",
     "conf-jobs-flag",
     "conf-frontend-matrix",
 ];

@@ -1,15 +1,17 @@
-//! Panic-hygiene rules for supervised worker and daemon paths.
+//! Panic-hygiene rules for the sweep-execution modules.
 //!
-//! The supervisor's `catch_unwind` retry classification treats a
-//! panic as "retryable chaos" — that only stays sound if panics in
-//! the worker/daemon paths are *exceptional*, never routine control
-//! flow. Two rules, scoped to the service crate plus the hardened
-//! sweep-execution modules it supervises:
+//! `par_try_map`'s per-cell containment turns a panicking cell into
+//! that cell's `CellError::Panic` while the rest of the grid
+//! completes. That only stays meaningful if panics in the sweep
+//! machinery itself are *exceptional*, never routine control flow —
+//! a panic in the fan-out or checkpoint code is a sweep bug, not a
+//! cell failure. Two rules, scoped to `par_sweep.rs` and
+//! `checkpoint.rs`:
 //!
 //! * `panic-path`: `.unwrap()`, `.expect("…")`, `panic!`,
 //!   `unreachable!`, `todo!`. The `.expect(` form is only flagged
 //!   when its argument is a string literal — `Option::expect`
-//!   /`Result::expect` take `&str`, whereas the JSON parser's own
+//!   /`Result::expect` take `&str`, whereas a parser method such as
 //!   `fn expect(&mut self, b: u8)` takes byte literals and is
 //!   ordinary fallible parsing, not a panic.
 //! * `panic-index`: `expr[…]` indexing and slicing, which panic on
@@ -22,16 +24,10 @@ use crate::rules::{finding, for_each_seq};
 use crate::tree::Tree;
 use crate::workspace::SourceFile;
 
-/// Files whose panics the supervisor must be able to treat as
-/// exceptional: the whole service crate plus the hardened parallel
-/// executor and checkpoint modules it drives. The chaos gate binary
-/// is excluded — it is a test harness whose assertions (panics)
-/// are the point, and nothing it runs passes through the
-/// supervisor's retry classification.
+/// The sweep fan-out and checkpoint modules, whose panics must stay
+/// exceptional for per-cell containment to mean anything.
 fn in_scope(rel: &str) -> bool {
-    (rel.starts_with("crates/service/src/") && rel != "crates/service/src/bin/chaos_service.rs")
-        || rel == "crates/experiments/src/par_sweep.rs"
-        || rel == "crates/experiments/src/checkpoint.rs"
+    rel == "crates/experiments/src/par_sweep.rs" || rel == "crates/experiments/src/checkpoint.rs"
 }
 
 /// Identifier-like tokens that may precede `[` without it being an
@@ -58,7 +54,7 @@ pub fn check(file: &SourceFile, out: &mut Vec<Finding>) {
                             "panic-path",
                             file,
                             name.line(),
-                            ".unwrap() in supervised path".to_string(),
+                            ".unwrap() in sweep path".to_string(),
                         ));
                     }
                     let str_arg = args.children().first().is_some_and(|c| {
@@ -70,7 +66,7 @@ pub fn check(file: &SourceFile, out: &mut Vec<Finding>) {
                             "panic-path",
                             file,
                             name.line(),
-                            ".expect(\"…\") in supervised path".to_string(),
+                            ".expect(\"…\") in sweep path".to_string(),
                         ));
                     }
                 }
@@ -84,7 +80,7 @@ pub fn check(file: &SourceFile, out: &mut Vec<Finding>) {
                     "panic-path",
                     file,
                     t.line(),
-                    format!("{}! in supervised path", t.text()),
+                    format!("{}! in sweep path", t.text()),
                 ));
             }
             // `expr[…]` indexing without a bound comment.
@@ -129,7 +125,7 @@ mod tests {
     }
 
     fn run(src: &str) -> Vec<Finding> {
-        run_at("crates/service/src/x.rs", src)
+        run_at("crates/experiments/src/par_sweep.rs", src)
     }
 
     #[test]
@@ -151,7 +147,7 @@ mod tests {
 
     #[test]
     fn byte_expect_is_fallible_parsing_not_panic() {
-        // json.rs's own `fn expect(&mut self, b: u8)` — byte-literal
+        // A parser's own `fn expect(&mut self, b: u8)` — byte-literal
         // argument, must not be flagged.
         let f = run("fn f(p: &mut P) { p.expect(b'{')?; }");
         assert!(f.is_empty());

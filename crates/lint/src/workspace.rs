@@ -178,7 +178,9 @@ mod tests {
         assert!(rels
             .iter()
             .any(|r| r == "crates/processor/src/simulator.rs"));
-        assert!(rels.iter().any(|r| r == "crates/service/src/supervisor.rs"));
+        assert!(rels
+            .iter()
+            .any(|r| r == "crates/experiments/src/par_sweep.rs"));
         assert!(rels.iter().any(|r| r == "crates/lint/src/lexer.rs"));
         assert!(!rels.iter().any(|r| r.starts_with("vendor/")));
         let mut sorted = rels.clone();

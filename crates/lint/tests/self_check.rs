@@ -114,7 +114,7 @@ fn rules_bite_on_a_seeded_regression() {
                 "use std::collections::HashSet;\nfn t() -> std::time::Instant { std::time::Instant::now() }",
             ),
             mk(
-                "crates/service/src/spec.rs",
+                "crates/experiments/src/checkpoint.rs",
                 "fn parse(parts: &[&str]) { match parts[0] { _ => {} } }",
             ),
             mk(

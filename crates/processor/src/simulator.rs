@@ -1390,9 +1390,8 @@ mod tests {
         assert!(SimStats::from_words(&words[..10]).is_none());
     }
 
-    /// Pins the checkpoint word order: sweep checkpoints and service
-    /// cache lines written by any earlier build must still decode
-    /// into the same fields.
+    /// Pins the checkpoint word order: sweep checkpoints written by
+    /// any earlier build must still decode into the same fields.
     #[test]
     fn stats_words_golden_order() {
         let words: Vec<u64> = (1..=SimStats::WORDS as u64).collect();

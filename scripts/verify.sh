@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repo verification gate: tier-1 build+test, lints, formatting, the
-# static-analysis conformance fuzz, full-report bit-identity, and the
-# quick benchmarks.
+# static-analysis conformance fuzz, checkpoint resume, and
+# full-report bit-identity.
 # Everything runs offline.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -21,9 +21,9 @@ cargo fmt --check
 echo "== self-hosted lint gate (tpc_lint: determinism/panic/conformance rules) =="
 # Parses the workspace's own source and enforces what neither clippy
 # nor the type checker can: no unordered collections, wall clocks, or
-# thread identity in result paths; panic hygiene in supervised
-# worker/daemon code; all-kinds degradation coverage, service-protocol,
-# --jobs and frontend-matrix conformance. (The SimStats codec and the
+# thread identity in result paths; panic hygiene in the sweep fan-out
+# and checkpoint modules; all-kinds degradation coverage, --jobs and
+# frontend-matrix conformance. (The SimStats codec and the
 # FaultKind list are compiler-checked.) Fails on any unallowlisted
 # finding or stale allowlist entry; every allowlist entry (printed
 # below) carries a written justification. Per-rule counts land in
@@ -96,17 +96,5 @@ echo "== full report regenerates bit-identically (report_full.md) =="
 cargo run -p tpc-experiments --release --offline --bin all > /tmp/r.md
 diff report_full.md /tmp/r.md
 rm /tmp/r.md
-
-echo "== bench_throughput --quick =="
-cargo run -p tpc-experiments --release --offline --bin bench_throughput -- --quick
-
-echo "== sweep-service chaos gate (daemon kill/retry/memoize vs serial reference) =="
-# Spawns real tpc_service daemons and attacks them: poison cells that
-# panic/hang, a worker killed mid-cell, an injected cache-write
-# failure, a SIGKILL'd daemon restarted on a torn cache file. Merged
-# results must stay bit-identical to a clean serial run_cells
-# reference; permanent failures must degrade into the error manifest.
-cargo build -p tpc-service --release --offline
-cargo run -p tpc-service --release --offline --bin chaos_service -- --quick
 
 echo "verify: OK"
