@@ -1,6 +1,6 @@
 //! The executor proper.
 
-use tpc_isa::model::{OutcomeState, XorShift64};
+use tpc_isa::model::{IndirectModel, OutcomeModel, OutcomeState, XorShift64};
 use tpc_isa::{Addr, Op, Program};
 
 /// Data-address space touched by loads/stores, as a power-of-two
@@ -57,22 +57,53 @@ pub struct Executor<'a> {
     pc: Addr,
     regs: [i64; tpc_isa::NUM_REGS],
     call_stack: Vec<Addr>,
-    branch_states: Vec<Option<OutcomeState>>,
-    indirect_rngs: Vec<Option<XorShift64>>,
+    /// Per instruction: its index into `branches` (conditional
+    /// branches) or `indirects` (indirect jumps); unused otherwise.
+    slots: Vec<u32>,
+    branches: Vec<(&'a OutcomeModel, OutcomeState)>,
+    indirects: Vec<(&'a IndirectModel, XorShift64)>,
     retired: u64,
     completions: u64,
 }
 
 impl<'a> Executor<'a> {
     /// Creates an executor positioned at the program entry.
+    ///
+    /// Every branch's and indirect jump's model state is created here,
+    /// once: it depends only on the model, so eager creation equals
+    /// creation at first execution.
     pub fn new(program: &'a Program) -> Self {
+        let mut slots = vec![0u32; program.len()];
+        let mut branches = Vec::new();
+        let mut indirects = Vec::new();
+        for (pc, op) in program.iter() {
+            let slot = &mut slots[pc.word() as usize];
+            match op {
+                Op::Branch { .. } => {
+                    let model = program
+                        .branch_model(pc)
+                        .expect("validated program has a model per branch");
+                    *slot = branches.len() as u32; // narrow: program addresses are u32
+                    branches.push((model, OutcomeState::new(model)));
+                }
+                Op::IndirectJump { .. } => {
+                    let model = program
+                        .indirect_model(pc)
+                        .expect("validated program has a model per indirect jump");
+                    *slot = indirects.len() as u32; // narrow: program addresses are u32
+                    indirects.push((model, XorShift64::new(model.seed())));
+                }
+                _ => {}
+            }
+        }
         Executor {
             program,
             pc: program.entry(),
             regs: [0; tpc_isa::NUM_REGS],
             call_stack: Vec::with_capacity(64),
-            branch_states: vec![None; program.len()],
-            indirect_rngs: vec![None; program.len()],
+            slots,
+            branches,
+            indirects,
             retired: 0,
             completions: 0,
         }
@@ -196,12 +227,7 @@ impl<'a> Executor<'a> {
                 mem_addr = Some(ea);
             }
             Op::Branch { target, .. } => {
-                let model = self
-                    .program
-                    .branch_model(pc)
-                    .expect("validated program has a model per branch");
-                let state = self.branch_states[pc.word() as usize]
-                    .get_or_insert_with(|| OutcomeState::new(model));
+                let (model, state) = &mut self.branches[self.slots[pc.word() as usize] as usize];
                 taken = state.next_outcome(model);
                 if taken {
                     next_pc = target;
@@ -223,12 +249,7 @@ impl<'a> Executor<'a> {
                 }
             }
             Op::IndirectJump { .. } => {
-                let model = self
-                    .program
-                    .indirect_model(pc)
-                    .expect("validated program has a model per indirect jump");
-                let rng = self.indirect_rngs[pc.word() as usize]
-                    .get_or_insert_with(|| XorShift64::new(model.seed()));
+                let (model, rng) = &mut self.indirects[self.slots[pc.word() as usize] as usize];
                 next_pc = model.select(rng);
             }
             Op::Halt => {
@@ -263,7 +284,6 @@ impl Iterator for Executor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tpc_isa::model::{IndirectModel, OutcomeModel};
     use tpc_isa::{BranchCond, ProgramBuilder, Reg};
 
     fn r(i: u8) -> Reg {

@@ -66,13 +66,14 @@ struct Entry {
     key: u64,
     stamp: u64,
     valid: bool,
-    dirty: bool,
+    mark: bool,
 }
 
 /// A set-associative LRU tag array over opaque `u64` keys.
 ///
-/// This models only presence (tags) plus a per-entry dirty bit for
-/// write-back structures, not payloads — payload storage belongs to
+/// This models only presence (tags) plus a per-entry mark bit — the
+/// data cache's dirty bit, the instruction cache's "filled by
+/// preconstruction" bit — not payloads: payload storage belongs to
 /// the structure embedding it. Keys map to sets by their low bits;
 /// the full key is the tag.
 ///
@@ -100,7 +101,7 @@ impl SetAssocCache {
                     key: 0,
                     stamp: 0,
                     valid: false,
-                    dirty: false,
+                    mark: false,
                 };
                 geometry.entries() as usize
             ],
@@ -121,23 +122,31 @@ impl SetAssocCache {
 
     /// Looks up `key`, updating LRU state on a hit.
     pub fn access(&mut self, key: u64) -> bool {
-        self.access_marking(key, false)
+        self.touch(key).is_some()
     }
 
-    /// [`SetAssocCache::access`] that also sets the entry's dirty
-    /// bit on a hit when `dirty`.
-    pub fn access_marking(&mut self, key: u64, dirty: bool) -> bool {
+    /// [`SetAssocCache::access`] that also sets the entry's mark bit
+    /// on a hit when `mark`.
+    pub fn access_marking(&mut self, key: u64, mark: bool) -> bool {
+        self.touch(key).map(|e| e.mark |= mark).is_some()
+    }
+
+    /// [`SetAssocCache::access`] that returns the entry's mark bit on
+    /// a hit, and `None` on a miss.
+    pub fn access_mark(&mut self, key: u64) -> Option<bool> {
+        self.touch(key).map(|e| e.mark)
+    }
+
+    /// The entry holding `key`, its LRU stamp refreshed.
+    fn touch(&mut self, key: u64) -> Option<&mut Entry> {
         self.clock += 1;
         let clock = self.clock;
         let range = self.set_range(key);
-        for e in &mut self.entries[range] {
-            if e.valid && e.key == key {
-                e.stamp = clock;
-                e.dirty |= dirty;
-                return true;
-            }
-        }
-        false
+        let e = self.entries[range]
+            .iter_mut()
+            .find(|e| e.valid && e.key == key)?;
+        e.stamp = clock;
+        Some(e)
     }
 
     /// Looks up `key` without touching LRU state.
@@ -154,9 +163,10 @@ impl SetAssocCache {
         self.fill_marking(key, false).map(|(evicted, _)| evicted)
     }
 
-    /// [`SetAssocCache::fill`] that sets the entry's dirty bit when
-    /// `dirty`, and returns the evicted key with its dirty bit.
-    pub fn fill_marking(&mut self, key: u64, dirty: bool) -> Option<(u64, bool)> {
+    /// [`SetAssocCache::fill`] that sets the entry's mark bit when
+    /// `mark` (a new entry starts with exactly `mark`), and returns the
+    /// evicted key with its mark bit.
+    pub fn fill_marking(&mut self, key: u64, mark: bool) -> Option<(u64, bool)> {
         self.clock += 1;
         let clock = self.clock;
         let range = self.set_range(key);
@@ -164,7 +174,7 @@ impl SetAssocCache {
         for e in &mut self.entries[range.clone()] {
             if e.valid && e.key == key {
                 e.stamp = clock;
-                e.dirty |= dirty;
+                e.mark |= mark;
                 return None;
             }
         }
@@ -172,7 +182,7 @@ impl SetAssocCache {
             key,
             stamp: clock,
             valid: true,
-            dirty,
+            mark,
         };
         // Free way?
         for e in &mut self.entries[range.clone()] {
@@ -186,7 +196,7 @@ impl SetAssocCache {
             .iter_mut()
             .min_by_key(|e| e.stamp)
             .expect("ways > 0");
-        let evicted = (victim.key, victim.dirty);
+        let evicted = (victim.key, victim.mark);
         *victim = fresh;
         Some(evicted)
     }

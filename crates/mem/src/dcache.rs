@@ -37,7 +37,7 @@ impl DataCacheStats {
 /// The simulator models the paper's four-port constraint (any single
 /// processing element uses at most two ports per cycle) in the
 /// backend scheduler; this structure models hit/miss latency only.
-/// Dirty lines are tracked by the tag array's per-entry dirty bit.
+/// Dirty lines are tracked by the tag array's per-entry mark bit.
 #[derive(Debug, Clone)]
 pub struct DataCache {
     tags: SetAssocCache,

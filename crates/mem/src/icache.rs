@@ -102,14 +102,15 @@ impl IcacheStats {
 ///
 /// Accesses are line-granular: the fetch unit and the preconstruction
 /// engine both consume whole lines (16 instructions).
+///
+/// A tag's mark bit says that the line's most recent fill was
+/// performed by the preconstruction engine (tracked for
+/// Table-3-style attribution).
 #[derive(Debug, Clone)]
 pub struct InstrCache {
     tags: SetAssocCache,
     config: InstrCacheConfig,
     stats: IcacheStats,
-    /// Lines whose most recent fill was performed by the
-    /// preconstruction engine (tracked for Table-3-style attribution).
-    precon_filled: std::collections::BTreeSet<u64>,
 }
 
 impl InstrCache {
@@ -125,7 +126,6 @@ impl InstrCache {
             tags: SetAssocCache::new(CacheGeometry::with_entries(lines, config.ways)),
             config,
             stats: IcacheStats::default(),
-            precon_filled: std::collections::BTreeSet::new(),
         }
     }
 
@@ -137,14 +137,15 @@ impl InstrCache {
     /// Fetches the line containing `addr`, filling it on a miss.
     pub fn fetch(&mut self, addr: Addr, kind: AccessKind) -> FetchResult {
         let line = line_of(addr);
-        let hit = self.tags.access(line);
+        let precon_filled = self.tags.access_mark(line);
+        let hit = precon_filled.is_some();
         match kind {
             AccessKind::Demand => {
                 self.stats.demand_accesses += 1;
-                if !hit {
-                    self.stats.demand_misses += 1;
-                } else if self.precon_filled.contains(&line) {
-                    self.stats.demand_hits_on_precon_lines += 1;
+                match precon_filled {
+                    None => self.stats.demand_misses += 1,
+                    Some(true) => self.stats.demand_hits_on_precon_lines += 1,
+                    Some(false) => {}
                 }
             }
             AccessKind::Precon => {
@@ -155,13 +156,7 @@ impl InstrCache {
             }
         }
         if !hit {
-            if let Some(evicted) = self.tags.fill(line) {
-                self.precon_filled.remove(&evicted);
-            }
-            match kind {
-                AccessKind::Precon => self.precon_filled.insert(line),
-                AccessKind::Demand => self.precon_filled.remove(&line),
-            };
+            self.tags.fill_marking(line, kind == AccessKind::Precon);
         }
         FetchResult {
             hit,

@@ -1,12 +1,18 @@
 //! Property tests: `SetAssocCache` agrees with an executable
-//! reference model (per-set LRU lists plus a set of dirty keys) on
-//! seeded random operation sequences, and `DataCache` counts the
-//! misses and writebacks of a reference write-back cache built on
-//! that model.
+//! reference model (per-set LRU lists plus a set of marked keys) on
+//! seeded random operation sequences, `DataCache` counts the misses
+//! and writebacks of a reference write-back cache built on that
+//! model, and `InstrCache` attributes demand hits to
+//! preconstruction-filled lines as a reference that keeps those lines
+//! in a set of their own.
 
 use std::collections::{BTreeSet, VecDeque};
 use tpc_isa::model::XorShift64;
-use tpc_mem::{CacheGeometry, DataCache, SetAssocCache};
+use tpc_isa::Addr;
+use tpc_mem::{
+    AccessKind, CacheGeometry, DataCache, IcacheStats, InstrCache, InstrCacheConfig, SetAssocCache,
+    INSTRS_PER_LINE,
+};
 
 const CASES: u32 = 256;
 
@@ -125,9 +131,16 @@ fn set_assoc_matches_reference() {
         for (i, &cmd) in ops.iter().enumerate() {
             let at = format!("case {case} ({sets}x{ways}), op #{i} {cmd:?}");
             match cmd {
-                // The unmarked calls are the clean case of the marking ones.
-                Cmd::Access(k, false) => {
+                // The unmarked calls are the clean case of the marking
+                // ones; every other plain access also reads the mark.
+                Cmd::Access(k, false) if i % 2 == 0 => {
                     assert_eq!(dut.access(k), reference.access(k, false), "{at}")
+                }
+                Cmd::Access(k, false) => {
+                    let expected = reference
+                        .access(k, false)
+                        .then(|| reference.dirty.contains(&k));
+                    assert_eq!(dut.access_mark(k), expected, "{at}");
                 }
                 Cmd::Access(k, true) => {
                     assert_eq!(
@@ -202,4 +215,72 @@ fn data_cache_matches_reference_write_back_cache() {
         total_writebacks += writebacks;
     }
     assert!(total_writebacks > 0, "the cases exercise dirty evictions");
+}
+
+/// The instruction cache against the reference: every fetch hits
+/// exactly when the reference hits (filling on a miss), and a demand
+/// hit counts as a hit on a preconstruction line exactly when the
+/// line is in the reference's separate set of lines whose latest fill
+/// was a preconstruction fill (eviction removes a line from it).
+#[test]
+fn instr_cache_matches_reference_precon_attribution() {
+    let mut rng = XorShift64::new(0x1CAC_4E5E);
+    let mut total_precon_hits = 0;
+    for case in 0..CASES {
+        let ways = 1 << rng.next_below(3);
+        let sets = 1 << rng.next_below(3);
+        let config = InstrCacheConfig {
+            size_bytes: sets * ways * 64,
+            ways,
+            ..InstrCacheConfig::default()
+        };
+        let mut dut = InstrCache::new(config);
+        let mut tags = RefCache::new(sets, ways);
+        let mut precon_filled: BTreeSet<u64> = BTreeSet::new();
+        let mut expected = IcacheStats::default();
+        for i in 0..rng.next_below(400) {
+            let line = u64::from(rng.next_below(48));
+            let addr = Addr::new(line as u32 * INSTRS_PER_LINE + rng.next_below(INSTRS_PER_LINE));
+            let kind = if rng.chance(1, 2) {
+                AccessKind::Precon
+            } else {
+                AccessKind::Demand
+            };
+            let hit = tags.touch(line);
+            match kind {
+                AccessKind::Demand => {
+                    expected.demand_accesses += 1;
+                    if !hit {
+                        expected.demand_misses += 1;
+                    } else if precon_filled.contains(&line) {
+                        expected.demand_hits_on_precon_lines += 1;
+                    }
+                }
+                AccessKind::Precon => {
+                    expected.precon_accesses += 1;
+                    expected.precon_misses += u64::from(!hit);
+                }
+            }
+            if !hit {
+                if let Some((evicted, _)) = tags.fill(line, false) {
+                    precon_filled.remove(&evicted);
+                }
+                match kind {
+                    AccessKind::Precon => precon_filled.insert(line),
+                    AccessKind::Demand => precon_filled.remove(&line),
+                };
+            }
+            let at = format!("case {case} ({sets}x{ways}), fetch #{i} {kind:?} of line {line}");
+            let r = dut.fetch(addr, kind);
+            assert_eq!(r.hit, hit, "{at}");
+            let latency = config.hit_latency + if hit { 0 } else { config.l2_latency };
+            assert_eq!(r.latency, latency, "{at}");
+            assert_eq!(*dut.stats(), expected, "{at}");
+        }
+        total_precon_hits += expected.demand_hits_on_precon_lines;
+    }
+    assert!(
+        total_precon_hits > 0,
+        "the cases exercise demand hits on preconstruction lines"
+    );
 }

@@ -99,33 +99,55 @@ impl NtpStats {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct TableEntry {
-    pred: Option<TraceKey>,
-    counter: u8,
-}
+/// One table entry packed into a word: the predicted key's start in
+/// bits 0..32, its outcomes in bits 32..48, `branch_count + 1` in
+/// bits 48..57, and the 2-bit confidence counter in bits 62..64. The
+/// word 0 is the empty entry (no prediction, counter 0), so a table
+/// is a zero-initialised `Vec<u64>` whose pages are touched only
+/// where it is trained.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TableEntry(u64);
 
 impl TableEntry {
-    const EMPTY: TableEntry = TableEntry {
-        pred: None,
-        counter: 0,
-    };
+    const EMPTY: TableEntry = TableEntry(0);
+    const KEY_BITS: u64 = (1 << 57) - 1;
+    const COUNTER_SHIFT: u32 = 62;
 
-    fn train(&mut self, actual: TraceKey) {
-        match self.pred {
-            Some(p) if p == actual => self.counter = (self.counter + 1).min(3),
-            Some(_) => {
-                if self.counter == 0 {
-                    self.pred = Some(actual);
-                    self.counter = 1;
-                } else {
-                    self.counter -= 1;
-                }
-            }
-            None => {
-                self.pred = Some(actual);
-                self.counter = 1;
-            }
+    /// The packed form of `key`: never 0, and never overlapping the
+    /// counter bits.
+    fn key_bits(key: TraceKey) -> u64 {
+        u64::from(key.start.word())
+            | u64::from(key.outcomes) << 32
+            | (u64::from(key.branch_count) + 1) << 48
+    }
+
+    fn with(key_bits: u64, counter: u8) -> TableEntry {
+        TableEntry(key_bits | u64::from(counter) << Self::COUNTER_SHIFT)
+    }
+
+    fn pred(self) -> Option<TraceKey> {
+        let branches_plus_one = (self.0 >> 48) & 0x1FF;
+        (branches_plus_one != 0).then(|| TraceKey {
+            start: Addr::new(self.0 as u32),             // narrow: bits 0..32
+            outcomes: (self.0 >> 32) as u16,             // narrow: bits 32..48
+            branch_count: (branches_plus_one - 1) as u8, // narrow: a u8 plus one
+        })
+    }
+
+    fn counter(self) -> u8 {
+        (self.0 >> Self::COUNTER_SHIFT) as u8 // narrow: the top 2 bits
+    }
+
+    fn trained(self, actual: TraceKey) -> TableEntry {
+        let actual = Self::key_bits(actual);
+        let counter = self.counter();
+        if self.0 & Self::KEY_BITS == actual {
+            Self::with(actual, (counter + 1).min(3))
+        } else if counter == 0 {
+            // A cold entry, or a wrong one whose confidence ran out.
+            Self::with(actual, 1)
+        } else {
+            Self::with(self.0 & Self::KEY_BITS, counter - 1)
         }
     }
 }
@@ -141,8 +163,10 @@ impl TableEntry {
 #[derive(Debug, Clone)]
 pub struct NextTracePredictor {
     config: NtpConfig,
-    primary: Vec<TableEntry>,
-    secondary: Vec<TableEntry>,
+    /// Packed [`TableEntry`] words; zero-initialised, so a fresh
+    /// predictor's tables are not paged in until trained.
+    primary: Vec<u64>,
+    secondary: Vec<u64>,
     history: VecDeque<TraceKey>,
     rhs: Vec<VecDeque<TraceKey>>,
     /// History buffers released by returns, reused by later calls'
@@ -156,8 +180,8 @@ impl NextTracePredictor {
     pub fn new(config: NtpConfig) -> Self {
         NextTracePredictor {
             config,
-            primary: vec![TableEntry::EMPTY; 1usize << config.table_bits],
-            secondary: vec![TableEntry::EMPTY; 1usize << config.secondary_bits],
+            primary: vec![0; 1usize << config.table_bits],
+            secondary: vec![0; 1usize << config.secondary_bits],
             history: VecDeque::with_capacity(config.history_depth + 1),
             rhs: Vec::with_capacity(config.rhs_depth),
             spare: Vec::with_capacity(config.rhs_depth + 1),
@@ -165,45 +189,54 @@ impl NextTracePredictor {
         }
     }
 
-    /// DOLC-style fold of the path history: recent traces contribute
-    /// more index bits than older ones.
-    fn primary_index(&self) -> usize {
+    /// The primary and secondary table indices for the current path.
+    /// The primary index is a DOLC-style fold of the path history:
+    /// recent traces contribute more index bits than older ones. The
+    /// secondary index is the last trace alone (none while the
+    /// history is empty).
+    fn indices(&self) -> (usize, Option<usize>) {
         let mut idx: u64 = 0;
+        let mut last = None;
         for (age, key) in self.history.iter().rev().enumerate() {
             // age 0 = most recent. Older entries are shifted right:
             // fewer of their bits survive the mask.
-            idx ^= key.hash64() >> (age as u32 * 5);
+            let h = key.hash64();
+            last.get_or_insert(h);
+            idx ^= h >> (age as u32 * 5);
         }
-        (idx as usize) & ((1usize << self.config.table_bits) - 1)
+        let primary = (idx as usize) & ((1usize << self.config.table_bits) - 1);
+        let secondary = last.map(|h| (h as usize) & ((1usize << self.config.secondary_bits) - 1));
+        (primary, secondary)
     }
 
-    fn secondary_index(&self) -> Option<usize> {
-        let last = self.history.back()?;
-        Some((last.hash64() as usize) & ((1usize << self.config.secondary_bits) - 1))
+    /// The prediction of the entries at `indices`.
+    fn prediction(&self, (pi, si): (usize, Option<usize>)) -> Option<TraceKey> {
+        let p = TableEntry(self.primary[pi]);
+        let s = si.map_or(TableEntry::EMPTY, |i| TableEntry(self.secondary[i]));
+        // Hybrid selection: the correlating table wins unless the
+        // secondary is strictly more confident (cold start/aliasing).
+        let chosen = if p != TableEntry::EMPTY && p.counter() >= s.counter() {
+            p
+        } else {
+            s
+        };
+        chosen.pred().or(p.pred()).or(s.pred())
     }
 
     /// Predicts the next trace, or `None` when both tables are cold
     /// for the current path.
     pub fn predict(&self) -> Option<TraceKey> {
-        let p = &self.primary[self.primary_index()];
-        let s = self
-            .secondary_index()
-            .map(|i| &self.secondary[i])
-            .unwrap_or(&TableEntry::EMPTY);
-        // Hybrid selection: the correlating table wins unless the
-        // secondary is strictly more confident (cold start/aliasing).
-        let chosen = if p.pred.is_some() && p.counter >= s.counter {
-            p
-        } else {
-            s
-        };
-        chosen.pred.or(p.pred).or(s.pred)
+        self.prediction(self.indices())
     }
 
-    /// Trains with the actual next trace and advances the path
-    /// history (and return history stack, per `end`).
-    pub fn observe(&mut self, actual: TraceKey, end: TraceEnd) {
-        match self.predict() {
+    /// Scores and trains with the actual next trace, advances the
+    /// path history (and return history stack, per `end`), and
+    /// returns the prediction it scored: what [`Self::predict`]
+    /// returned just before the call.
+    pub fn observe(&mut self, actual: TraceKey, end: TraceEnd) -> Option<TraceKey> {
+        let (pi, si) = self.indices();
+        let predicted = self.prediction((pi, si));
+        match predicted {
             Some(pred) => {
                 self.stats.predictions += 1;
                 if pred == actual {
@@ -212,10 +245,9 @@ impl NextTracePredictor {
             }
             None => self.stats.no_prediction += 1,
         }
-        let pi = self.primary_index();
-        self.primary[pi].train(actual);
-        if let Some(si) = self.secondary_index() {
-            self.secondary[si].train(actual);
+        self.primary[pi] = TableEntry(self.primary[pi]).trained(actual).0;
+        if let Some(si) = si {
+            self.secondary[si] = TableEntry(self.secondary[si]).trained(actual).0;
         }
 
         // Return history stack (paper Section 6, item 1): save the
@@ -246,6 +278,7 @@ impl NextTracePredictor {
         while self.history.len() > self.config.history_depth {
             self.history.pop_front();
         }
+        predicted
     }
 
     /// Accuracy counters.

@@ -69,38 +69,81 @@ pub struct TraceTiming {
     pub exec_done: [u64; MAX_TRACE_LEN],
 }
 
-/// Ring-buffer counter of per-cycle resource usage.
+/// Cycles tracked by [`CycleUsage`]: far more than a dispatch can
+/// reach past the oldest cycle a later dispatch may still query.
+const USAGE_RING: usize = 8192;
+
+/// Per-cycle resource usage of every processing element, in one ring
+/// of recent cycles. Slot `cycle % USAGE_RING` holds the cycle it
+/// counts and `1 + 2·pe_count` counters: the global memory ports,
+/// each PE's issue slots, then each PE's memory ports.
+///
+/// A slot is recycled (re-tagged and zeroed) only for a cycle no
+/// earlier than the current dispatch's first execution cycle, and
+/// every cycle any dispatch queries is at or after its own first
+/// execution cycle, which never decreases. So a recycled slot's old
+/// cycle can never be queried again, and the ring counts exactly.
 #[derive(Debug, Clone)]
-struct CycleCounter {
-    ring: Vec<(u64, u8)>,
-    mask: usize,
+struct CycleUsage {
+    tags: Vec<u64>,
+    counts: Vec<u8>,
+    pe_count: usize,
 }
 
-impl CycleCounter {
-    fn new(capacity_pow2: usize) -> Self {
-        debug_assert!(capacity_pow2.is_power_of_two());
-        CycleCounter {
-            ring: vec![(u64::MAX, 0); capacity_pow2],
-            mask: capacity_pow2 - 1,
+impl CycleUsage {
+    /// Counter index of the global memory ports.
+    const MEM_GLOBAL: usize = 0;
+
+    fn new(pe_count: usize) -> Self {
+        // Tag 0 with zero counts is exact: cycle 0 has no usage.
+        CycleUsage {
+            tags: vec![0; USAGE_RING],
+            counts: vec![0; USAGE_RING * (1 + 2 * pe_count)],
+            pe_count,
         }
     }
 
-    fn count(&self, cycle: u64) -> u8 {
-        let slot = self.ring[cycle as usize & self.mask];
-        if slot.0 == cycle {
-            slot.1
+    /// Counters per slot.
+    fn stride(&self) -> usize {
+        1 + 2 * self.pe_count
+    }
+
+    /// Counter index of `pe`'s issue slots.
+    fn issue(pe: usize) -> usize {
+        1 + pe
+    }
+
+    /// Counter index of `pe`'s memory ports.
+    fn mem(&self, pe: usize) -> usize {
+        1 + self.pe_count + pe
+    }
+
+    fn count(&self, cycle: u64, counter: usize) -> u8 {
+        let slot = cycle as usize % USAGE_RING;
+        if self.tags[slot] == cycle {
+            self.counts[slot * self.stride() + counter]
         } else {
             0
         }
     }
 
-    fn inc(&mut self, cycle: u64) {
-        let slot = &mut self.ring[cycle as usize & self.mask];
-        if slot.0 == cycle {
-            slot.1 += 1;
-        } else {
-            *slot = (cycle, 1);
+    /// Counts one use of `counter` in `cycle`, for a dispatch whose
+    /// first execution cycle is `earliest`.
+    fn inc(&mut self, cycle: u64, counter: usize, earliest: u64) {
+        let slot = cycle as usize % USAGE_RING;
+        let stride = self.stride();
+        let counts = &mut self.counts[slot * stride..][..stride];
+        if self.tags[slot] != cycle {
+            debug_assert!(
+                self.tags[slot] < earliest,
+                "recycling the slot of cycle {} for cycle {cycle}, but a dispatch \
+                 may still query cycles from {earliest} on",
+                self.tags[slot]
+            );
+            self.tags[slot] = cycle;
+            counts.fill(0);
         }
+        counts[counter] += 1;
     }
 }
 
@@ -111,9 +154,7 @@ pub struct Backend {
     /// Per register: (cycle a same-PE consumer may execute, producer
     /// PE). Cross-PE consumers add `bus_delay`.
     reg_ready: [(u64, usize); tpc_isa::NUM_REGS],
-    issue_slots: Vec<CycleCounter>,
-    mem_global: CycleCounter,
-    mem_per_pe: Vec<CycleCounter>,
+    usage: CycleUsage,
     dcache: DataCache,
     /// Cycle each PE becomes free (its trace retired).
     pe_free_at: Vec<u64>,
@@ -125,13 +166,7 @@ impl Backend {
     pub fn new(config: BackendConfig) -> Self {
         Backend {
             reg_ready: [(0, 0); tpc_isa::NUM_REGS],
-            issue_slots: (0..config.pe_count)
-                .map(|_| CycleCounter::new(8192))
-                .collect(),
-            mem_global: CycleCounter::new(8192),
-            mem_per_pe: (0..config.pe_count)
-                .map(|_| CycleCounter::new(8192))
-                .collect(),
+            usage: CycleUsage::new(config.pe_count),
             dcache: DataCache::new(),
             pe_free_at: vec![0; config.pe_count],
             next_pe: 0,
@@ -176,7 +211,8 @@ impl Backend {
 
     /// Schedules a trace dispatched at `dispatch_cycle` onto a free
     /// PE and returns its timing. The caller must have checked
-    /// [`Backend::pe_available`].
+    /// [`Backend::pe_available`], and must not dispatch at an earlier
+    /// cycle than its previous dispatch.
     ///
     /// `use_preprocess` selects whether the trace's preprocessing
     /// annotations (if present) drive dependences and issue order.
@@ -238,6 +274,7 @@ impl Backend {
             None => &PROGRAM_ORDER[..n],
         };
 
+        let (issue, mem) = (CycleUsage::issue(pe), self.usage.mem(pe));
         // done[i]: last execution cycle of instruction i.
         let mut done = [0u64; MAX_TRACE_LEN];
         let mut started = [0u64; MAX_TRACE_LEN];
@@ -263,19 +300,20 @@ impl Backend {
             // port, when needed).
             let mut c = ready;
             loop {
-                let slots_ok = self.issue_slots[pe].count(c) < self.config.issue_per_pe;
+                let usage = &self.usage;
+                let slots_ok = usage.count(c, issue) < self.config.issue_per_pe;
                 let ports_ok = !is_mem
-                    || (self.mem_global.count(c) < self.config.mem_ports_global
-                        && self.mem_per_pe[pe].count(c) < self.config.mem_ports_per_pe);
+                    || (usage.count(c, CycleUsage::MEM_GLOBAL) < self.config.mem_ports_global
+                        && usage.count(c, mem) < self.config.mem_ports_per_pe);
                 if slots_ok && ports_ok {
                     break;
                 }
                 c += 1;
             }
-            self.issue_slots[pe].inc(c);
+            self.usage.inc(c, issue, earliest);
             if is_mem {
-                self.mem_global.inc(c);
-                self.mem_per_pe[pe].inc(c);
+                self.usage.inc(c, CycleUsage::MEM_GLOBAL, earliest);
+                self.usage.inc(c, mem, earliest);
             }
 
             let lat = match class[i] {

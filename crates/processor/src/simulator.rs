@@ -780,8 +780,9 @@ impl<F: Frontend> Simulator<F> {
     /// The engine, D-cache and fault counters are neither reset nor
     /// snapshot-subtracted: they keep counting from construction, so
     /// after a reset [`Simulator::stats`] reports them over the whole
-    /// run (ROADMAP item 2). The paper's metrics (Figure 5, Tables
-    /// 1–3) all come from counters that do reset.
+    /// run (ROADMAP, "One measurement window, by subtraction"). The
+    /// paper's metrics (Figure 5, Tables 1–3) all come from counters
+    /// that do reset.
     pub fn reset_stats(&mut self) {
         self.retire_slack = self.inflight.len() as u64 + u64::from(self.slow_build.is_some());
         self.stats = SimStats::default();
@@ -932,9 +933,8 @@ impl<F: Frontend> Simulator<F> {
         // branches resolve and the frontend redirects.
         if !self.pending_predicted {
             self.pending_predicted = true;
-            let predicted = self.ntp.predict() == Some(key);
             let end = self.pending.as_ref().expect("set above").trace.end();
-            self.ntp.observe(key, end);
+            let predicted = self.ntp.observe(key, end) == Some(key);
             if !predicted {
                 self.stats.ntp_mispredicts += 1;
                 let resume = (self.prev_resolve + self.config.mispredict_penalty).max(self.cycle);
@@ -1075,8 +1075,8 @@ impl<F: Frontend> Simulator<F> {
         // RAS maintenance for every dispatched trace. A slow-path
         // build already pushed its calls and popped its returns in
         // `begin_slow_build`, so its trace updates the RAS twice — a
-        // known model bug (ROADMAP item 2). Fixing it moves counters,
-        // so it is left for a change of its own.
+        // known model bug. Fixing it moves counters, so it is left for
+        // the ROADMAP's "One measurement window, by subtraction" item.
         for ti in dt.trace.instrs() {
             match ti.op.class() {
                 OpClass::Call => self.ras.push(ti.pc.next()),

@@ -1,13 +1,15 @@
 //! Property tests over the backend scheduler: every computed
 //! schedule must respect the machine's structural and dataflow
-//! constraints, for seeded random traces.
+//! constraints, for seeded random traces, and equal the schedule of a
+//! reference that counts each resource in a ring of its own.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use tpc_core::preprocess::{latency::op_latency, preprocess, trace_producers};
-use tpc_core::{PushResult, Resolution, TraceBuilder};
+use tpc_core::{PushResult, Resolution, TraceBuilder, MAX_TRACE_LEN};
 use tpc_isa::model::XorShift64;
 use tpc_isa::{Addr, Op, OpClass, Reg, NUM_REGS};
-use tpc_processor::backend::{Backend, BackendConfig};
+use tpc_mem::DataCache;
+use tpc_processor::backend::{Backend, BackendConfig, TraceTiming};
 use tpc_processor::DynTrace;
 
 const CASES: u32 = 256;
@@ -212,6 +214,222 @@ fn preprocessing_never_breaks_dataflow() {
                     "case {case}: preprocessed dep {j}→{i} violated in {ops:?}"
                 );
             }
+        }
+    }
+}
+
+/// One resource's per-cycle use count, in a ring of its own.
+struct RefRing(Vec<(u64, u8)>);
+
+impl RefRing {
+    fn new() -> Self {
+        RefRing(vec![(u64::MAX, 0); 8192])
+    }
+
+    fn count(&self, cycle: u64) -> u8 {
+        let (tag, n) = self.0[cycle as usize % 8192];
+        if tag == cycle {
+            n
+        } else {
+            0
+        }
+    }
+
+    fn inc(&mut self, cycle: u64) {
+        let slot = &mut self.0[cycle as usize % 8192];
+        if slot.0 == cycle {
+            slot.1 += 1;
+        } else {
+            *slot = (cycle, 1);
+        }
+    }
+}
+
+/// Reference backend scheduler: the same dataflow list scheduling as
+/// `Backend`, with nine separate rings (issue slots and memory ports
+/// per PE, global memory ports).
+struct RefBackend {
+    config: BackendConfig,
+    reg_ready: [(u64, usize); NUM_REGS],
+    issue_slots: Vec<RefRing>,
+    mem_global: RefRing,
+    mem_per_pe: Vec<RefRing>,
+    dcache: DataCache,
+    pe_free_at: Vec<u64>,
+    next_pe: usize,
+}
+
+impl RefBackend {
+    fn new(config: BackendConfig) -> Self {
+        RefBackend {
+            config,
+            reg_ready: [(0, 0); NUM_REGS],
+            issue_slots: (0..config.pe_count).map(|_| RefRing::new()).collect(),
+            mem_global: RefRing::new(),
+            mem_per_pe: (0..config.pe_count).map(|_| RefRing::new()).collect(),
+            dcache: DataCache::new(),
+            pe_free_at: vec![0; config.pe_count],
+            next_pe: 0,
+        }
+    }
+
+    fn dispatch(
+        &mut self,
+        dt: &DynTrace,
+        dispatch_cycle: u64,
+        use_preprocess: bool,
+    ) -> TraceTiming {
+        let pe = (0..self.config.pe_count)
+            .map(|k| (self.next_pe + k) % self.config.pe_count)
+            .find(|&pe| self.pe_free_at[pe] <= dispatch_cycle)
+            .expect("a free PE");
+        self.next_pe = (pe + 1) % self.config.pe_count;
+        self.pe_free_at[pe] = u64::MAX;
+
+        let instrs = dt.trace.instrs();
+        let n = instrs.len();
+        let info = dt.trace.preprocess_info().filter(|_| use_preprocess);
+        let earliest = dispatch_cycle + 1;
+        let mut deps = [0u16; MAX_TRACE_LEN];
+        let mut ext_ready = [earliest; MAX_TRACE_LEN];
+        let mut last_writer: [Option<usize>; NUM_REGS] = [None; NUM_REGS];
+        for (i, ti) in instrs.iter().enumerate() {
+            for src in ti.op.sources() {
+                match last_writer[src.index()] {
+                    Some(w) => deps[i] |= 1 << w,
+                    None => {
+                        let (avail, producer) = self.reg_ready[src.index()];
+                        let bus = if producer == pe {
+                            0
+                        } else {
+                            self.config.bus_delay
+                        };
+                        ext_ready[i] = ext_ready[i].max(avail + bus);
+                    }
+                }
+            }
+            if let Some(rd) = ti.op.dest() {
+                last_writer[rd.index()] = Some(i);
+            }
+        }
+        let order: Vec<usize> = match info {
+            Some(inf) => {
+                deps = inf.deps;
+                inf.order().iter().map(|&i| usize::from(i)).collect()
+            }
+            None => (0..n).collect(),
+        };
+
+        let mut done = [0u64; MAX_TRACE_LEN];
+        let mut started = [0u64; MAX_TRACE_LEN];
+        for i in order {
+            let class = instrs[i].op.class();
+            let ready = if info.is_some_and(|inf| inf.const_folded[i]) {
+                earliest
+            } else {
+                (0..n)
+                    .filter(|&j| deps[i] & 1 << j != 0)
+                    .map(|j| done[j] + 1)
+                    .fold(ext_ready[i], u64::max)
+            };
+            let is_mem = matches!(class, OpClass::Load | OpClass::Store);
+            let mut c = ready;
+            while self.issue_slots[pe].count(c) >= self.config.issue_per_pe
+                || is_mem
+                    && (self.mem_global.count(c) >= self.config.mem_ports_global
+                        || self.mem_per_pe[pe].count(c) >= self.config.mem_ports_per_pe)
+            {
+                c += 1;
+            }
+            self.issue_slots[pe].inc(c);
+            if is_mem {
+                self.mem_global.inc(c);
+                self.mem_per_pe[pe].inc(c);
+            }
+            let lat = u64::from(op_latency(class))
+                + match class {
+                    OpClass::Load => u64::from(self.dcache.load(dt.mem_addrs[i].unwrap())),
+                    OpClass::Store => {
+                        let _ = self.dcache.store(dt.mem_addrs[i].unwrap());
+                        0
+                    }
+                    _ => 0,
+                };
+            started[i] = c;
+            done[i] = c + lat - 1;
+        }
+        for (ready, w) in self.reg_ready.iter_mut().zip(last_writer) {
+            if let Some(i) = w {
+                *ready = (done[i] + 1, pe);
+            }
+        }
+        let complete = done[..n].iter().copied().max().unwrap_or(dispatch_cycle);
+        let last_resolve = (0..n)
+            .filter(|&i| instrs[i].op.class() == OpClass::Branch)
+            .map(|i| done[i])
+            .max()
+            .unwrap_or(complete);
+        TraceTiming {
+            pe,
+            complete,
+            last_resolve,
+            len: n,
+            exec_start: started,
+            exec_done: done,
+        }
+    }
+}
+
+/// The one shared per-cycle ring schedules exactly like nine separate
+/// rings: over long random dispatch streams whose cycles wrap the ring
+/// many times, with and without preprocessing, every `TraceTiming`
+/// is equal. Retirement follows the simulator's discipline: in order,
+/// once a trace has completed or its PE is needed.
+#[test]
+fn shared_ring_matches_separate_rings() {
+    let mut rng = XorShift64::new(0x5E9A_4A7E);
+    for case in 0..CASES / 8 {
+        let config = BackendConfig::default();
+        let use_preprocess = rng.chance(1, 2);
+        let mut dut = Backend::new(config);
+        let mut reference = RefBackend::new(config);
+        let mut inflight: VecDeque<(usize, u64)> = VecDeque::new();
+        let mut cycle = 0;
+        for k in 0..rng.next_in(200, 1500) {
+            let mut dt = build_dyn_trace(&random_ops(&mut rng));
+            for a in dt.mem_addrs.iter_mut().flatten() {
+                *a = u64::from(rng.next_below(1 << 18));
+            }
+            if use_preprocess {
+                let info = preprocess(&dt.trace);
+                dt.trace.set_preprocess(info);
+            }
+            cycle += u64::from(match rng.next_below(16) {
+                0 => rng.next_below(9000),
+                1..=8 => 0,
+                _ => rng.next_below(8),
+            });
+            while let Some(&(pe, complete)) = inflight.front() {
+                let full = inflight.len() >= config.pe_count || !dut.pe_available(cycle);
+                if complete > cycle && !full {
+                    break;
+                }
+                cycle = cycle.max(complete);
+                dut.release_pe(pe, cycle);
+                reference.pe_free_at[pe] = cycle;
+                inflight.pop_front();
+            }
+            let t = dut.dispatch(&dt, cycle, use_preprocess);
+            let r = reference.dispatch(&dt, cycle, use_preprocess);
+            let at = format!("case {case}, trace {k} at cycle {cycle}");
+            assert_eq!(
+                (t.pe, t.complete, t.last_resolve, t.len),
+                (r.pe, r.complete, r.last_resolve, r.len),
+                "{at}"
+            );
+            assert_eq!(t.exec_start, r.exec_start, "{at}");
+            assert_eq!(t.exec_done, r.exec_done, "{at}");
+            inflight.push_back((t.pe, t.complete));
         }
     }
 }

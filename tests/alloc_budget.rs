@@ -1,11 +1,16 @@
-//! Allocation budget of the simulator's hot path.
+//! Allocation budget of the simulator's hot path, and the heap
+//! footprint of a freshly constructed simulator.
 //!
 //! Over a warmed-up measure window the simulator may allocate once
 //! per trace that leaves the stream (its shared instruction
 //! snapshot), once per trace the preconstruction engine builds, and
-//! once per preprocessing run (the shared annotations), plus a small
-//! fixed slack. Anything that allocates per cycle, per constructor
-//! step or per region blows the budget.
+//! once per preprocessing run (the shared annotations), and nothing
+//! else. Anything that allocates per cycle, per constructor step or
+//! per region blows the budget.
+//!
+//! `Simulator::new` must request less heap than a byte budget: a
+//! table that grows back to a per-instruction or 16-byte-per-entry
+//! layout blows it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -13,18 +18,20 @@ use trace_preconstruction::processor::{SimConfig, SimStats, Simulator};
 use trace_preconstruction::workloads::{Benchmark, WorkloadBuilder};
 
 thread_local! {
-    // A `const`-initialised `Cell` of a `Drop`-free type: reading it
+    // `const`-initialised `Cell`s of a `Drop`-free type: reading them
     // never allocates and stays valid while the thread exits.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// The system allocator plus a per-thread count of `alloc`,
-/// `alloc_zeroed` and `realloc` calls, so tests running side by side
-/// do not see each other's allocations.
+/// `alloc_zeroed` and `realloc` calls and of the bytes they request,
+/// so tests running side by side do not see each other's allocations.
 struct CountingAlloc;
 
-fn note() {
+fn note(bytes: usize) {
     ALLOCS.with(|c| c.set(c.get() + 1));
+    BYTES.with(|c| c.set(c.get() + bytes as u64));
 }
 
 // SAFETY: every method forwards to `System` with the caller's own
@@ -32,14 +39,14 @@ fn note() {
 // counting touches only a thread-local cell and never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract,
         // which is `System::alloc`'s.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(layout.size());
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -51,7 +58,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
+        note(new_size);
         // SAFETY: `ptr` came from `System` with `layout`, and the
         // caller upholds `realloc`'s size contract.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -63,9 +70,6 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 const WARMUP: u64 = 200_000;
 const MEASURE: u64 = 200_000;
-/// Allocations allowed beyond the per-trace budget: buffers reaching
-/// a new high-water mark late in the run.
-const SLACK: u64 = 64;
 
 /// Runs a warmed-up window of `config` on `benchmark`; returns the
 /// window's allocation count and its budget.
@@ -91,12 +95,12 @@ fn window(benchmark: Benchmark, config: SimConfig) -> (u64, u64, String) {
     } else {
         0
     };
-    // A trace in flight at either window edge is counted in one
-    // snapshot only.
-    let budget = retired + built + preprocessed + SLACK;
+    // Retired traces stand in for the traces that left the stream:
+    // the two differ only by the traces in flight at the window edges.
+    let budget = retired + built + preprocessed;
     let detail = format!(
         "{benchmark:?}: {allocs} allocations in the window; budget {budget} = \
-         {retired} retired traces + {built} built + {preprocessed} preprocess runs + {SLACK}"
+         {retired} retired traces + {built} built + {preprocessed} preprocess runs"
     );
     (allocs, budget, detail)
 }
@@ -113,5 +117,38 @@ fn precon_windows_allocate_only_per_trace() {
         let (allocs, budget, detail) = window(benchmark, config);
         eprintln!("{detail}");
         assert!(allocs <= budget, "over budget: {detail}");
+    }
+}
+
+/// Heap bytes `Simulator::new` may request, per benchmark and
+/// configuration. The bulk is the next-trace predictor's two tables
+/// (640 KiB of one-word entries); a per-instruction executor table,
+/// 16-byte predictor entries or per-resource backend rings would each
+/// add about a mebibyte.
+#[test]
+fn construction_stays_within_byte_budget() {
+    const KIB: u64 = 1024;
+    for (benchmark, config, budget) in [
+        (Benchmark::Gcc, SimConfig::with_precon(128, 128), 1536 * KIB),
+        (
+            Benchmark::Compress,
+            SimConfig::with_precon(128, 128).with_preprocess(),
+            1024 * KIB,
+        ),
+    ] {
+        let program = WorkloadBuilder::new(benchmark).seed(1).build();
+        let before = BYTES.with(Cell::get);
+        let sim = Simulator::new(&program, config);
+        let bytes = BYTES.with(Cell::get) - before;
+        drop(sim);
+        eprintln!(
+            "{benchmark:?}: Simulator::new requested {} KiB (budget {} KiB)",
+            bytes / KIB,
+            budget / KIB
+        );
+        assert!(
+            bytes <= budget,
+            "{benchmark:?}: Simulator::new requested {bytes} bytes, over the budget of {budget}"
+        );
     }
 }
