@@ -373,10 +373,15 @@ impl PreconEngine {
     ///
     /// Pushes region start points for calls and backward branches and
     /// aborts regions the processor has caught up with.
+    #[inline]
     pub fn observe_dispatch(&mut self, pc: Addr, op: &Op, seq: u64) {
-        if !self.config.enabled {
-            return;
+        if self.config.enabled {
+            self.observe_dispatch_enabled(pc, op, seq);
         }
+    }
+
+    /// [`PreconEngine::observe_dispatch`] of an enabled engine.
+    fn observe_dispatch_enabled(&mut self, pc: Addr, op: &Op, seq: u64) {
         match op.class() {
             OpClass::Call => {
                 self.stats.start_points_observed += 1;
@@ -412,6 +417,7 @@ impl PreconEngine {
 
     /// Observes one retired instruction (architectural stream):
     /// start points whose region execution reached are removed.
+    #[inline]
     pub fn observe_retire(&mut self, pc: Addr) {
         if self.config.enabled {
             self.stack.on_retire(pc);
@@ -432,6 +438,7 @@ impl PreconEngine {
     /// processor's slow path is not using the I-cache — the engine
     /// fetches at most one line per such cycle (paper Section 2:
     /// preconstruction borrows idle slow-path hardware).
+    #[inline]
     pub fn tick(
         &mut self,
         cycle: u64,
@@ -441,7 +448,22 @@ impl PreconEngine {
         bimodal: &Bimodal,
         store: &mut dyn TraceStore,
     ) {
-        if !self.config.enabled || self.is_quiescent() {
+        if self.config.enabled {
+            self.tick_enabled(cycle, slow_path_idle, program, icache, bimodal, store);
+        }
+    }
+
+    /// [`PreconEngine::tick`] of an enabled engine.
+    fn tick_enabled(
+        &mut self,
+        cycle: u64,
+        slow_path_idle: bool,
+        program: &Program,
+        icache: &mut InstrCache,
+        bimodal: &Bimodal,
+        store: &mut dyn TraceStore,
+    ) {
+        if self.is_quiescent() {
             return;
         }
         self.activate_regions();
@@ -576,7 +598,8 @@ impl PreconEngine {
                             // sets `want_line` again, so once the fill
                             // lands the engine fetches the same,
                             // already-resident line a second time
-                            // (ROADMAP item 1).
+                            // (ROADMAP, "One measurement window, by
+                            // subtraction").
                             region.want_line = Some(addr);
                         }
                         break;

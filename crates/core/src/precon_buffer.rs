@@ -1,6 +1,6 @@
 //! Preconstruction buffers (paper Section 3.1).
 
-use crate::slots::{probe_or_free, ProbeSlot};
+use crate::slots::{fault_victim, probe_or_free, ProbeSlot};
 use crate::trace::Trace;
 use tpc_predict::TraceKey;
 
@@ -195,13 +195,9 @@ impl PreconBuffers {
     /// A preconstructed trace is a hint; losing one costs at most a
     /// future slow-path build.
     pub fn fault_invalidate_one(&mut self, salt: u64) -> bool {
-        let occupied: Vec<usize> = (0..self.slots.len())
-            .filter(|&i| self.slots[i].is_some())
-            .collect();
-        if occupied.is_empty() {
+        let Some(victim) = fault_victim(&self.slots, salt, |_| true) else {
             return false;
-        }
-        let victim = occupied[(salt % occupied.len() as u64) as usize];
+        };
         self.slots[victim] = None;
         debug_assert!(self.check_invariants().is_ok());
         true
@@ -212,13 +208,9 @@ impl PreconBuffers {
     /// region-priority protection, so any later region displaces it).
     /// Returns whether a tag actually changed.
     pub fn fault_corrupt_region_tag(&mut self, salt: u64) -> bool {
-        let occupied: Vec<usize> = (0..self.slots.len())
-            .filter(|&i| self.slots[i].is_some())
-            .collect();
-        if occupied.is_empty() {
+        let Some(victim) = fault_victim(&self.slots, salt, |_| true) else {
             return false;
-        }
-        let victim = occupied[(salt % occupied.len() as u64) as usize];
+        };
         let slot = self.slots[victim].as_mut().expect("occupied index");
         let changed = slot.region != 0;
         slot.region = 0;

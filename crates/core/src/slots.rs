@@ -1,5 +1,6 @@
 //! Shared single-pass probe logic for the set-associative payload
-//! arrays (`TraceCache`, `PreconBuffers`, `UnifiedStore`).
+//! arrays (`TraceCache`, `PreconBuffers`, `UnifiedStore`), and the
+//! victim choice of their fault-injection hooks.
 
 use std::ops::Range;
 
@@ -50,6 +51,29 @@ pub(crate) fn probe_or_free<T>(
     }
 }
 
+/// The slot a fault injected with `salt` strikes: the
+/// `salt % count`-th, in slot order, of the `count` occupied slots
+/// whose entry `eligible` accepts; `None` when there is none. It counts
+/// and then walks the slots, so it allocates nothing.
+pub(crate) fn fault_victim<T>(
+    slots: &[Option<T>],
+    salt: u64,
+    eligible: impl Fn(&T) -> bool,
+) -> Option<usize> {
+    let candidates = || {
+        slots
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.as_ref().is_some_and(&eligible))
+            .map(|(i, _)| i)
+    };
+    let count = candidates().count() as u64;
+    if count == 0 {
+        return None;
+    }
+    candidates().nth((salt % count) as usize) // narrow: < count ≤ slots.len()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,6 +97,20 @@ mod tests {
     fn free_outside_window_ignored() {
         let slots: [Option<u32>; 3] = [None, Some(1), Some(2)];
         assert_eq!(probe_or_free(&slots, 1..3, |_| false), ProbeSlot::Evict);
+    }
+
+    #[test]
+    fn fault_victim_indexes_eligible_slots_by_salt() {
+        let slots = [Some(1), None, Some(2), Some(3), None, Some(4)];
+        let odd = |&v: &u32| v % 2 == 1;
+        // Eligible slots in order: 0 (1) and 3 (3).
+        assert_eq!(fault_victim(&slots, 0, odd), Some(0));
+        assert_eq!(fault_victim(&slots, 1, odd), Some(3));
+        assert_eq!(fault_victim(&slots, 6, odd), Some(0));
+        // Occupied slots in order: 0, 2, 3 and 5.
+        assert_eq!(fault_victim(&slots, 9, |_| true), Some(2));
+        assert_eq!(fault_victim(&slots, 9, |_| false), None);
+        assert_eq!(fault_victim::<u32>(&[None, None], 3, |_| true), None);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use crate::precon_buffer::PreconBuffers;
 use crate::preprocess::PreprocessInfo;
-use crate::slots::{probe_or_free, ProbeSlot};
+use crate::slots::{fault_victim, probe_or_free, ProbeSlot};
 use crate::trace::Trace;
 use crate::trace_cache::TraceCache;
 use std::sync::Arc;
@@ -589,25 +589,17 @@ impl TraceStore for UnifiedStore {
     }
 
     fn fault_invalidate_precon(&mut self, salt: u64) -> bool {
-        let pending: Vec<usize> = (0..self.slots.len())
-            .filter(|&i| self.slots[i].as_ref().is_some_and(|s| s.region.is_some()))
-            .collect();
-        if pending.is_empty() {
+        let Some(victim) = fault_victim(&self.slots, salt, |s| s.region.is_some()) else {
             return false;
-        }
-        let victim = pending[(salt % pending.len() as u64) as usize];
+        };
         self.slots[victim] = None;
         true
     }
 
     fn fault_corrupt_precon(&mut self, salt: u64) -> bool {
-        let pending: Vec<usize> = (0..self.slots.len())
-            .filter(|&i| self.slots[i].as_ref().is_some_and(|s| s.region.is_some()))
-            .collect();
-        if pending.is_empty() {
+        let Some(victim) = fault_victim(&self.slots, salt, |s| s.region.is_some()) else {
             return false;
-        }
-        let victim = pending[(salt % pending.len() as u64) as usize];
+        };
         let slot = self.slots[victim].as_mut().expect("pending index");
         let changed = slot.region != Some(0);
         slot.region = Some(0);

@@ -319,6 +319,7 @@ impl TraceBuilder {
     ///
     /// Panics if called after the trace completed (in debug builds),
     /// or if a conditional branch is fed without its resolution.
+    #[inline]
     pub fn push(&mut self, pc: Addr, op: Op, resolved: Resolution) -> PushResult {
         match self.accept(pc, op, resolved) {
             Accepted::Next(next) => PushResult::Continue(next),
@@ -338,6 +339,7 @@ impl TraceBuilder {
     }
 
     /// Appends one instruction and applies the selection rules.
+    #[inline]
     fn accept(&mut self, pc: Addr, op: Op, resolved: Resolution) -> Accepted {
         debug_assert!(self.len < MAX_TRACE_LEN, "trace already complete");
         debug_assert!(

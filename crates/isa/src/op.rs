@@ -252,6 +252,7 @@ pub enum Op {
 
 impl Op {
     /// The broad class of this instruction.
+    #[inline]
     pub fn class(&self) -> OpClass {
         match self {
             Op::Add { .. }
@@ -281,6 +282,7 @@ impl Op {
     ///
     /// Writes to `r0` are reported as `None`: they are
     /// architecturally discarded, so nothing can depend on them.
+    #[inline]
     pub fn dest(&self) -> Option<Reg> {
         let rd = match *self {
             Op::Add { rd, .. }
@@ -305,6 +307,7 @@ impl Op {
     ///
     /// Reads of `r0` are omitted: its value is constant, so it never
     /// creates a dependence.
+    #[inline]
     pub fn sources(&self) -> SourceRegs {
         let (a, b) = match *self {
             Op::Add { rs1, rs2, .. }
@@ -332,6 +335,7 @@ impl Op {
     ///
     /// `Return` and `IndirectJump` have no static target; their
     /// destinations are only known dynamically.
+    #[inline]
     pub fn static_target(&self) -> Option<Addr> {
         match *self {
             Op::Branch { target, .. } | Op::Jump { target } | Op::Call { target } => Some(target),
@@ -342,12 +346,14 @@ impl Op {
     /// Whether this is a conditional branch whose target lies at or
     /// before its own address — the loop back-edge shape the
     /// preconstruction start-point heuristic looks for.
+    #[inline]
     pub fn is_backward_branch(&self, pc: Addr) -> bool {
         matches!(*self, Op::Branch { target, .. } if target <= pc)
     }
 
     /// Whether the instruction's dynamic successor can differ from
     /// `pc + 1`.
+    #[inline]
     pub fn is_control(&self) -> bool {
         self.class().is_control()
     }
@@ -400,6 +406,7 @@ impl SourceRegs {
 impl IntoIterator for SourceRegs {
     type Item = Reg;
     type IntoIter = std::iter::Flatten<std::array::IntoIter<Option<Reg>, 2>>;
+    #[inline]
     fn into_iter(self) -> Self::IntoIter {
         self.regs.into_iter().flatten()
     }

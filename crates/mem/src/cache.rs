@@ -114,6 +114,7 @@ impl SetAssocCache {
         self.geometry
     }
 
+    #[inline]
     fn set_range(&self, key: u64) -> std::ops::Range<usize> {
         let ways = self.geometry.ways as usize;
         let start = self.geometry.set_of(key) * ways;
@@ -121,23 +122,27 @@ impl SetAssocCache {
     }
 
     /// Looks up `key`, updating LRU state on a hit.
+    #[inline]
     pub fn access(&mut self, key: u64) -> bool {
         self.touch(key).is_some()
     }
 
     /// [`SetAssocCache::access`] that also sets the entry's mark bit
     /// on a hit when `mark`.
+    #[inline]
     pub fn access_marking(&mut self, key: u64, mark: bool) -> bool {
         self.touch(key).map(|e| e.mark |= mark).is_some()
     }
 
     /// [`SetAssocCache::access`] that returns the entry's mark bit on
     /// a hit, and `None` on a miss.
+    #[inline]
     pub fn access_mark(&mut self, key: u64) -> Option<bool> {
         self.touch(key).map(|e| e.mark)
     }
 
     /// The entry holding `key`, its LRU stamp refreshed.
+    #[inline]
     fn touch(&mut self, key: u64) -> Option<&mut Entry> {
         self.clock += 1;
         let clock = self.clock;
@@ -150,6 +155,7 @@ impl SetAssocCache {
     }
 
     /// Looks up `key` without touching LRU state.
+    #[inline]
     pub fn probe(&self, key: u64) -> bool {
         let range = self.set_range(key);
         self.entries[range].iter().any(|e| e.valid && e.key == key)

@@ -71,17 +71,20 @@ impl DataCache {
     }
 
     /// Performs a load; returns access latency in cycles.
+    #[inline]
     pub fn load(&mut self, byte_addr: u64) -> u32 {
         self.stats.loads += 1;
         self.access(byte_addr, false)
     }
 
     /// Performs a store; returns access latency in cycles.
+    #[inline]
     pub fn store(&mut self, byte_addr: u64) -> u32 {
         self.stats.stores += 1;
         self.access(byte_addr, true)
     }
 
+    #[inline]
     fn access(&mut self, byte_addr: u64, is_store: bool) -> u32 {
         let line = Self::line(byte_addr);
         let hit = self.tags.access_marking(line, is_store);

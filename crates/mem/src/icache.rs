@@ -170,11 +170,13 @@ impl InstrCache {
 
     /// Whether the line containing `addr` is currently resident
     /// (no LRU update, no fill).
+    #[inline]
     pub fn contains(&self, addr: Addr) -> bool {
         self.tags.probe(line_of(addr))
     }
 
     /// The word address of the first instruction of `addr`'s line.
+    #[inline]
     pub fn line_base(addr: Addr) -> Addr {
         Addr::new(addr.word() / INSTRS_PER_LINE * INSTRS_PER_LINE)
     }

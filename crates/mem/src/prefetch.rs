@@ -43,6 +43,7 @@ impl PrefetchCache {
     }
 
     /// Whether the instruction at `addr` is resident.
+    #[inline]
     pub fn contains(&self, addr: Addr) -> bool {
         self.lines.contains(&line_of(addr))
     }

@@ -85,6 +85,7 @@ impl Bimodal {
 
     /// Trains the counter with the resolved outcome and records
     /// accuracy of the prediction that would have been made.
+    #[inline]
     pub fn update(&mut self, pc: Addr, taken: bool) {
         self.lookups += 1;
         if self.predict(pc) == taken {

@@ -31,6 +31,7 @@ pub struct TraceKey {
 
 impl TraceKey {
     /// A 64-bit mixture of the key's fields, used for table indexing.
+    #[inline]
     pub fn hash64(&self) -> u64 {
         let raw = (self.start.word() as u64)
             ^ ((self.outcomes as u64) << 32)

@@ -73,10 +73,28 @@ pub struct TraceTiming {
 /// reach past the oldest cycle a later dispatch may still query.
 const USAGE_RING: usize = 8192;
 
+/// Bits of one counter lane in a [`CycleUsage`] word.
+const LANE_BITS: usize = 4;
+
+/// The largest count a lane holds, and so the largest resource limit
+/// a [`BackendConfig`] may set.
+const LANE_MAX: u8 = (1 << LANE_BITS) - 1;
+
+/// The most processing elements whose `1 + 2·pe_count` lanes fit in
+/// one `u64` word.
+const MAX_PES: usize = (64 / LANE_BITS - 1) / 2;
+
 /// Per-cycle resource usage of every processing element, in one ring
 /// of recent cycles. Slot `cycle % USAGE_RING` holds the cycle it
-/// counts and `1 + 2·pe_count` counters: the global memory ports,
-/// each PE's issue slots, then each PE's memory ports.
+/// counts and one `u64` of 4-bit counter lanes: lane 0 counts the
+/// global memory ports, lane `1 + pe` each PE's issue slots and lane
+/// `1 + pe_count + pe` each PE's memory ports. A probe is one load of
+/// the slot, and a use is one add of a word of lane units.
+///
+/// The add never carries into the next lane: a use is counted only in
+/// a cycle whose lanes are all below their limits (the slot search
+/// checks exactly that), and [`Backend::new`] keeps every limit at
+/// most `LANE_MAX`, so no lane ever counts past `LANE_MAX`.
 ///
 /// A slot is recycled (re-tagged and zeroed) only for a cycle no
 /// earlier than the current dispatch's first execution cycle, and
@@ -85,67 +103,74 @@ const USAGE_RING: usize = 8192;
 /// cycle can never be queried again, and the ring counts exactly.
 #[derive(Debug, Clone)]
 struct CycleUsage {
-    tags: Vec<u64>,
-    counts: Vec<u8>,
-    pe_count: usize,
+    slots: Vec<(u64, u64)>,
 }
 
 impl CycleUsage {
-    /// Counter index of the global memory ports.
+    /// Lane of the global memory ports.
     const MEM_GLOBAL: usize = 0;
 
-    fn new(pe_count: usize) -> Self {
+    fn new() -> Self {
         // Tag 0 with zero counts is exact: cycle 0 has no usage.
         CycleUsage {
-            tags: vec![0; USAGE_RING],
-            counts: vec![0; USAGE_RING * (1 + 2 * pe_count)],
-            pe_count,
+            slots: vec![(0, 0); USAGE_RING],
         }
     }
 
-    /// Counters per slot.
-    fn stride(&self) -> usize {
-        1 + 2 * self.pe_count
-    }
-
-    /// Counter index of `pe`'s issue slots.
+    /// Lane of `pe`'s issue slots.
     fn issue(pe: usize) -> usize {
         1 + pe
     }
 
-    /// Counter index of `pe`'s memory ports.
-    fn mem(&self, pe: usize) -> usize {
-        1 + self.pe_count + pe
+    /// Lane of `pe`'s memory ports, among `pe_count` PEs.
+    fn mem(pe: usize, pe_count: usize) -> usize {
+        1 + pe_count + pe
     }
 
-    fn count(&self, cycle: u64, counter: usize) -> u8 {
-        let slot = cycle as usize % USAGE_RING;
-        if self.tags[slot] == cycle {
-            self.counts[slot * self.stride() + counter]
+    /// One use of `lane`, as a word to add.
+    fn unit(lane: usize) -> u64 {
+        1 << (lane * LANE_BITS)
+    }
+
+    /// The count of `lane` in `word`.
+    #[inline]
+    fn lane(word: u64, lane: usize) -> u8 {
+        (word >> (lane * LANE_BITS)) as u8 & LANE_MAX // narrow: masked to one lane
+    }
+
+    /// The lanes of `cycle`: all zero while its slot holds another
+    /// cycle.
+    #[inline]
+    fn word(&self, cycle: u64) -> u64 {
+        let (tag, word) = self.slots[cycle as usize % USAGE_RING];
+        if tag == cycle {
+            word
         } else {
             0
         }
     }
 
-    /// Counts one use of `counter` in `cycle`, for a dispatch whose
+    /// Adds the lane units `uses` to `cycle`, for a dispatch whose
     /// first execution cycle is `earliest`.
-    fn inc(&mut self, cycle: u64, counter: usize, earliest: u64) {
-        let slot = cycle as usize % USAGE_RING;
-        let stride = self.stride();
-        let counts = &mut self.counts[slot * stride..][..stride];
-        if self.tags[slot] != cycle {
+    #[inline]
+    fn add(&mut self, cycle: u64, uses: u64, earliest: u64) {
+        let slot = &mut self.slots[cycle as usize % USAGE_RING];
+        if slot.0 != cycle {
             debug_assert!(
-                self.tags[slot] < earliest,
+                slot.0 < earliest,
                 "recycling the slot of cycle {} for cycle {cycle}, but a dispatch \
                  may still query cycles from {earliest} on",
-                self.tags[slot]
+                slot.0
             );
-            self.tags[slot] = cycle;
-            counts.fill(0);
+            *slot = (cycle, 0);
         }
-        counts[counter] += 1;
+        slot.1 += uses;
     }
 }
+
+/// `last_writer` entry of a register no instruction of the trace
+/// writes.
+const NO_WRITER: u8 = u8::MAX;
 
 /// The backend scheduler state.
 #[derive(Debug)]
@@ -163,10 +188,33 @@ pub struct Backend {
 
 impl Backend {
     /// Creates a backend.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `config` has 1 to 7 PEs and every issue and port
+    /// limit is 1 to 15: the per-cycle usage packs each counter into a
+    /// 4-bit lane of one `u64`, and a limit of 0 never issues.
     pub fn new(config: BackendConfig) -> Self {
+        assert!(
+            (1..=MAX_PES).contains(&config.pe_count),
+            "backend pe_count must be 1..={MAX_PES} (its 1 + 2·pe_count usage \
+             counters share one 64-bit word), got {}",
+            config.pe_count
+        );
+        for (name, limit) in [
+            ("issue_per_pe", config.issue_per_pe),
+            ("mem_ports_global", config.mem_ports_global),
+            ("mem_ports_per_pe", config.mem_ports_per_pe),
+        ] {
+            assert!(
+                (1..=LANE_MAX).contains(&limit),
+                "backend {name} must be 1..={LANE_MAX} (0 never issues; each usage \
+                 counter is {LANE_BITS} bits wide), got {limit}"
+            );
+        }
         Backend {
             reg_ready: [(0, 0); tpc_isa::NUM_REGS],
-            usage: CycleUsage::new(config.pe_count),
+            usage: CycleUsage::new(),
             dcache: DataCache::new(),
             pe_free_at: vec![0; config.pe_count],
             next_pe: 0,
@@ -245,13 +293,14 @@ impl Backend {
         let mut class = [OpClass::Nop; MAX_TRACE_LEN];
         let mut deps = [0u16; MAX_TRACE_LEN];
         let mut ext_ready = [earliest; MAX_TRACE_LEN];
-        let mut last_writer: [Option<u8>; tpc_isa::NUM_REGS] = [None; tpc_isa::NUM_REGS];
+        let mut last_writer = [NO_WRITER; tpc_isa::NUM_REGS];
+        // Registers with a writer in the trace, one bit each.
+        let mut written = 0u64;
         for (i, ti) in instrs.iter().enumerate() {
             class[i] = ti.op.class();
             for src in ti.op.sources() {
                 match last_writer[src.index()] {
-                    Some(w) => deps[i] |= 1 << w,
-                    None => {
+                    NO_WRITER => {
                         let (avail, producer_pe) = self.reg_ready[src.index()];
                         let penalty = if producer_pe == pe {
                             0
@@ -260,10 +309,12 @@ impl Backend {
                         };
                         ext_ready[i] = ext_ready[i].max(avail + penalty);
                     }
+                    w => deps[i] |= 1 << w,
                 }
             }
             if let Some(rd) = ti.op.dest() {
-                last_writer[rd.index()] = Some(i as u8); // narrow: i < MAX_TRACE_LEN
+                last_writer[rd.index()] = i as u8; // narrow: i < MAX_TRACE_LEN
+                written |= 1 << rd.index();
             }
         }
         let order: &[u8] = match info {
@@ -274,10 +325,18 @@ impl Backend {
             None => &PROGRAM_ORDER[..n],
         };
 
-        let (issue, mem) = (CycleUsage::issue(pe), self.usage.mem(pe));
+        let (issue, mem) = (
+            CycleUsage::issue(pe),
+            CycleUsage::mem(pe, self.config.pe_count),
+        );
+        let issue_uses = CycleUsage::unit(issue);
+        let mem_uses =
+            issue_uses + CycleUsage::unit(CycleUsage::MEM_GLOBAL) + CycleUsage::unit(mem);
         // done[i]: last execution cycle of instruction i.
         let mut done = [0u64; MAX_TRACE_LEN];
         let mut started = [0u64; MAX_TRACE_LEN];
+        let mut complete = dispatch_cycle;
+        let mut last_resolve = None;
         for &oi in order {
             let i = usize::from(oi);
             let ready = if info.is_some_and(|inf| inf.const_folded[i]) {
@@ -300,21 +359,19 @@ impl Backend {
             // port, when needed).
             let mut c = ready;
             loop {
-                let usage = &self.usage;
-                let slots_ok = usage.count(c, issue) < self.config.issue_per_pe;
+                let word = self.usage.word(c);
+                let slots_ok = CycleUsage::lane(word, issue) < self.config.issue_per_pe;
                 let ports_ok = !is_mem
-                    || (usage.count(c, CycleUsage::MEM_GLOBAL) < self.config.mem_ports_global
-                        && usage.count(c, mem) < self.config.mem_ports_per_pe);
+                    || (CycleUsage::lane(word, CycleUsage::MEM_GLOBAL)
+                        < self.config.mem_ports_global
+                        && CycleUsage::lane(word, mem) < self.config.mem_ports_per_pe);
                 if slots_ok && ports_ok {
                     break;
                 }
                 c += 1;
             }
-            self.usage.inc(c, issue, earliest);
-            if is_mem {
-                self.usage.inc(c, CycleUsage::MEM_GLOBAL, earliest);
-                self.usage.inc(c, mem, earliest);
-            }
+            let uses = if is_mem { mem_uses } else { issue_uses };
+            self.usage.add(c, uses, earliest);
 
             let lat = match class[i] {
                 OpClass::Load => {
@@ -332,26 +389,24 @@ impl Backend {
             };
             started[i] = c;
             done[i] = c + lat - 1;
+            complete = complete.max(done[i]);
+            if class[i] == OpClass::Branch {
+                last_resolve = last_resolve.max(Some(done[i]));
+            }
         }
 
         // Publish each register's final in-trace writer for later
         // traces.
-        for (ready, w) in self.reg_ready.iter_mut().zip(last_writer) {
-            if let Some(i) = w {
-                *ready = (done[usize::from(i)] + 1, pe);
-            }
+        while written != 0 {
+            let r = written.trailing_zeros() as usize;
+            self.reg_ready[r] = (done[usize::from(last_writer[r])] + 1, pe);
+            written &= written - 1;
         }
 
-        let complete = done[..n].iter().copied().max().unwrap_or(dispatch_cycle);
-        let last_resolve = (0..n)
-            .filter(|&i| class[i] == OpClass::Branch)
-            .map(|i| done[i])
-            .max()
-            .unwrap_or(complete);
         TraceTiming {
             pe,
             complete,
-            last_resolve,
+            last_resolve: last_resolve.unwrap_or(complete),
             len: n,
             exec_start: started,
             exec_done: done,

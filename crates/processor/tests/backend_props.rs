@@ -380,16 +380,36 @@ impl RefBackend {
     }
 }
 
-/// The one shared per-cycle ring schedules exactly like nine separate
-/// rings: over long random dispatch streams whose cycles wrap the ring
-/// many times, with and without preprocessing, every `TraceTiming`
-/// is equal. Retirement follows the simulator's discipline: in order,
-/// once a trace has completed or its PE is needed.
+/// A random configuration the backend accepts: 1 to 7 PEs, and issue
+/// and port limits of 1 to 15.
+fn random_config(rng: &mut XorShift64) -> BackendConfig {
+    let mut limit = || rng.next_in(1, 15) as u8; // narrow: ≤ 15
+    let (issue_per_pe, mem_ports_global, mem_ports_per_pe) = (limit(), limit(), limit());
+    BackendConfig {
+        pe_count: rng.next_in(1, 7) as usize,
+        issue_per_pe,
+        bus_delay: u64::from(rng.next_below(3)),
+        mem_ports_global,
+        mem_ports_per_pe,
+    }
+}
+
+/// The one shared per-cycle ring schedules exactly like separate
+/// rings per resource: over long random dispatch streams whose cycles
+/// wrap the ring many times, with and without preprocessing, on the
+/// paper's configuration and on random ones (so every lane offset of
+/// the packed usage word is exercised), every `TraceTiming` is equal.
+/// Retirement follows the simulator's discipline: in order, once a
+/// trace has completed or its PE is needed.
 #[test]
 fn shared_ring_matches_separate_rings() {
     let mut rng = XorShift64::new(0x5E9A_4A7E);
     for case in 0..CASES / 8 {
-        let config = BackendConfig::default();
+        let config = if case == 0 {
+            BackendConfig::default()
+        } else {
+            random_config(&mut rng)
+        };
         let use_preprocess = rng.chance(1, 2);
         let mut dut = Backend::new(config);
         let mut reference = RefBackend::new(config);
@@ -421,7 +441,7 @@ fn shared_ring_matches_separate_rings() {
             }
             let t = dut.dispatch(&dt, cycle, use_preprocess);
             let r = reference.dispatch(&dt, cycle, use_preprocess);
-            let at = format!("case {case}, trace {k} at cycle {cycle}");
+            let at = format!("case {case} ({config:?}), trace {k} at cycle {cycle}");
             assert_eq!(
                 (t.pe, t.complete, t.last_resolve, t.len),
                 (r.pe, r.complete, r.last_resolve, r.len),
@@ -432,4 +452,47 @@ fn shared_ring_matches_separate_rings() {
             inflight.push_back((t.pe, t.complete));
         }
     }
+}
+
+/// The backend rejects configurations its packed per-cycle usage word
+/// cannot count: more than 7 PEs, a limit above 15, or a limit of 0.
+#[test]
+fn out_of_range_configs_are_rejected() {
+    let paper = BackendConfig::default();
+    let bad = [
+        BackendConfig {
+            pe_count: 8,
+            ..paper
+        },
+        BackendConfig {
+            pe_count: 0,
+            ..paper
+        },
+        BackendConfig {
+            issue_per_pe: 16,
+            ..paper
+        },
+        BackendConfig {
+            mem_ports_global: 0,
+            ..paper
+        },
+        BackendConfig {
+            mem_ports_per_pe: 16,
+            ..paper
+        },
+    ];
+    for config in bad {
+        let result = std::panic::catch_unwind(|| Backend::new(config));
+        assert!(result.is_err(), "{config:?} was accepted");
+    }
+}
+
+/// The rejection names the limit that is out of range.
+#[test]
+#[should_panic(expected = "backend issue_per_pe must be 1..=15")]
+fn zero_issue_width_is_rejected() {
+    Backend::new(BackendConfig {
+        issue_per_pe: 0,
+        ..BackendConfig::default()
+    });
 }

@@ -37,6 +37,19 @@ cargo test -q --offline --workspace
 echo "== perfbench tests (the benchmark builds against the public simulator API) =="
 cargo test --offline --manifest-path perfbench/Cargo.toml
 
+echo "== perfbench release smoke: every BENCHMARK.json workload, 1 s each =="
+# The benchmark's own command and workload list, read from
+# BENCHMARK.json, built in release like the benchmark runs it. Each
+# run's last line is its JSON summary: every operation must be
+# correct.
+mapfile -t bench_cmd < <(jq -r '.command[]' BENCHMARK.json)
+for w in $(jq -r '.workloads[].name' BENCHMARK.json); do
+  summary="$("${bench_cmd[@]}" --workload "$w" --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+  echo "$w: $summary"
+  jq -e '.correct == true and .failed == 0' <<<"$summary" > /dev/null \
+    || { echo "perfbench $w: an operation failed" >&2; exit 1; }
+done
+
 echo "== differential fuzz, 10s budget, fixed seed =="
 # Every differential run lints the program and checks engine
 # conformance against the static enumeration (see tpc-oracle::diff).

@@ -5,8 +5,9 @@
 //! per trace that leaves the stream (its shared instruction
 //! snapshot), once per trace the preconstruction engine builds, and
 //! once per preprocessing run (the shared annotations), and nothing
-//! else. Anything that allocates per cycle, per constructor step or
-//! per region blows the budget.
+//! else, also while faults are injected into the engine and the
+//! store. Anything that allocates per cycle, per constructor step, per
+//! region or per injected fault blows the budget.
 //!
 //! `Simulator::new` must request less heap than a byte budget: a
 //! table that grows back to a per-instruction or 16-byte-per-entry
@@ -14,6 +15,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use trace_preconstruction::core::FaultPlan;
 use trace_preconstruction::processor::{SimConfig, SimStats, Simulator};
 use trace_preconstruction::workloads::{Benchmark, WorkloadBuilder};
 
@@ -113,8 +115,18 @@ fn precon_windows_allocate_only_per_trace() {
             Benchmark::Compress,
             SimConfig::with_precon(128, 128).with_preprocess(),
         ),
+        (
+            Benchmark::Gcc,
+            SimConfig::with_precon(128, 128).with_faults(FaultPlan::all(7, 10)),
+        ),
+        (
+            Benchmark::Gcc,
+            SimConfig::with_precon(128, 128).with_faults(FaultPlan::all(7, 40)),
+        ),
     ] {
+        let faults = config.faults.map_or(0, |plan| plan.per_mille);
         let (allocs, budget, detail) = window(benchmark, config);
+        let detail = format!("{detail} (faults at {faults} per mille)");
         eprintln!("{detail}");
         assert!(allocs <= budget, "over budget: {detail}");
     }
