@@ -15,7 +15,7 @@
 //!   constructors emit;
 //! * [`enumerate_biased`] — the bias-following static trace
 //!   enumeration behind the static-vs-dynamic coverage report;
-//! * [`lint`] — a structural linter that rejects malformed fuzzer
+//! * [`lint()`] — a structural linter that rejects malformed fuzzer
 //!   inputs (backward branches that are not loop latches, indirect
 //!   jumps without targets) before they reach simulation.
 //!

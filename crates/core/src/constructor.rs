@@ -375,7 +375,7 @@ mod tests {
         ctor.start(Addr::ZERO);
         let traces = run_all(&mut ctor, &p, &prefetch, &bimodal);
         assert_eq!(traces.len(), 2, "both arms constructed");
-        let keys: std::collections::HashSet<_> = traces.iter().map(|t| t.key()).collect();
+        let keys: std::collections::BTreeSet<_> = traces.iter().map(|t| t.key()).collect();
         assert_eq!(keys.len(), 2);
         // Not-taken explored first.
         assert_eq!(traces[0].branch_outcome(0), Some(false));

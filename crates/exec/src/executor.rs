@@ -394,7 +394,7 @@ mod tests {
         b.push(Op::Halt);
         b.push(Op::Halt);
         let p = b.build().unwrap();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         let mut ex = Executor::new(&p);
         for _ in 0..50 {
             let d = ex.next().unwrap();

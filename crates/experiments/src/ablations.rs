@@ -166,7 +166,7 @@ mod tests {
     #[test]
     fn all_knobs_swept() {
         let rows = run(Benchmark::Compress, RunParams::quick());
-        let knobs: std::collections::HashSet<_> = rows.iter().map(|r| r.knob).collect();
+        let knobs: std::collections::BTreeSet<_> = rows.iter().map(|r| r.knob).collect();
         assert_eq!(knobs.len(), 4);
         assert_eq!(rows.len(), 16);
     }

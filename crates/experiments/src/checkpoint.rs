@@ -24,13 +24,27 @@
 //! is byte-identical to an uninterrupted one — `scripts/verify.sh`
 //! checks exactly that by killing and resuming a degradation sweep.
 
+// A panic in the fan-out or checkpoint code is a sweep bug, not a
+// cell failure: per-cell containment only means something while
+// panics here stay exceptional, so every panicking construct is
+// flagged and the few that remain say why in an `#[expect]`.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::indexing_slicing,
+    clippy::string_slice
+)]
+
 use crate::par_sweep::SweepCell;
 use crate::runner::RunParams;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::Path;
 use std::sync::Mutex;
-use tpc_processor::SimStats;
+use tpc_processor::{SimStats, MODEL_VERSION};
 
 /// Streaming 64-bit FNV-1a hasher for sweep fingerprints. Stable
 /// across runs and platforms (a pure byte fold, no randomized state).
@@ -57,16 +71,22 @@ impl Fnv64 {
     }
 }
 
-/// Fingerprints a sweep: the run window and seed plus every cell's
-/// frontend identifier and configuration (via its `Debug` rendering,
-/// which covers each field) and the cell count. Two sweeps get the
-/// same fingerprint exactly when their checkpoints are
-/// interchangeable.
+/// Fingerprints a sweep: the [`MODEL_VERSION`], the run window and
+/// seed plus every cell's frontend identifier and configuration (via
+/// its `Debug` rendering, which covers each field) and the cell
+/// count. Two sweeps get the same fingerprint exactly when their
+/// checkpoints are interchangeable.
 ///
 /// `jobs` is deliberately excluded — thread count never changes
 /// results, so a sweep may be resumed with a different `--jobs`.
 pub fn sweep_fingerprint(params: &RunParams, cells: &[SweepCell]) -> u64 {
+    fingerprint_at(MODEL_VERSION, params, cells)
+}
+
+/// [`sweep_fingerprint`] as a given model version computes it.
+fn fingerprint_at(model_version: u32, params: &RunParams, cells: &[SweepCell]) -> u64 {
     let mut h = Fnv64::new();
+    h.write(&model_version.to_le_bytes());
     h.write(&params.warmup.to_le_bytes());
     h.write(&params.measure.to_le_bytes());
     h.write(&params.seed.to_le_bytes());
@@ -128,9 +148,8 @@ impl SweepCheckpoint {
                     // records for one cell are last-wins: a later
                     // line overwrites the earlier entry.
                     if let Some((i, stats)) = parse_cell(line) {
-                        if i < cell_count {
-                            // bound: i < cell_count checked above
-                            prior[i] = Some(stats);
+                        if let Some(slot) = prior.get_mut(i) {
+                            *slot = Some(stats);
                         }
                     }
                 }
@@ -197,14 +216,9 @@ fn parse_cell(line: &str) -> Option<(usize, SimStats)> {
         return None; // torn write
     }
     let cell = field_u64(line, "\"cell\":")?;
-    let open = line.find("\"words\":[")? + "\"words\":[".len();
-    // bound: open <= len, find() returned Some
-    let close = line[open..].find(']')? + open;
-    // bound: open <= close <= len from the finds above
-    let words: Option<Vec<u64>> = line[open..close]
-        .split(',')
-        .map(|w| w.trim().parse().ok())
-        .collect();
+    let (_, rest) = line.split_once("\"words\":[")?;
+    let (list, _) = rest.split_once(']')?;
+    let words: Option<Vec<u64>> = list.split(',').map(|w| w.trim().parse().ok()).collect();
     Some((cell as usize, SimStats::from_words(&words?)?))
 }
 
@@ -214,14 +228,11 @@ fn invalid(message: String) -> io::Error {
 
 /// Extracts the run of digits following `"key":` in a JSON line.
 fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let at = line.find(key)? + key.len();
-    // bound: find() guarantees at <= len
-    let rest = &line[at..];
+    let (_, rest) = line.split_once(key)?;
     let end = rest
         .find(|c: char| !c.is_ascii_digit())
         .unwrap_or(rest.len());
-    // bound: end <= rest.len() by unwrap_or
-    rest[..end].parse().ok()
+    rest.get(..end)?.parse().ok()
 }
 
 fn parse_header(line: &str) -> Option<(u64, usize)> {
@@ -452,5 +463,8 @@ mod tests {
         let mut jobs_params = params;
         jobs_params.jobs = 17;
         assert_eq!(a, sweep_fingerprint(&jobs_params, &cells));
+        // Another model version never replays this one's results.
+        assert_eq!(a, fingerprint_at(MODEL_VERSION, &params, &cells));
+        assert_ne!(a, fingerprint_at(MODEL_VERSION + 1, &params, &cells));
     }
 }

@@ -184,6 +184,19 @@ mod tests {
         }
     }
 
+    /// Chaos coverage: every intensity point schedules every fault
+    /// kind, not a hand-picked subset.
+    #[test]
+    fn every_point_enables_every_fault_kind() {
+        let all = tpc_core::FaultKind::ALL
+            .iter()
+            .fold(0, |mask, kind| mask | kind.bit());
+        for pm in INTENSITIES {
+            let plan = config_at(pm).faults.expect("config_at schedules faults");
+            assert_eq!(plan.kinds, all, "{pm} per mille");
+        }
+    }
+
     #[test]
     fn sweep_produces_full_grid() {
         let rows = run(

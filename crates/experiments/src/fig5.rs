@@ -141,7 +141,7 @@ mod tests {
         assert_eq!(c.iter().filter(|(_, pb)| *pb == 0).count(), TC_SIZES.len());
         assert!(c.iter().all(|&(tc, pb)| pb == 0 || pb <= tc));
         // No duplicates.
-        let set: std::collections::HashSet<_> = c.iter().collect();
+        let set: std::collections::BTreeSet<_> = c.iter().collect();
         assert_eq!(set.len(), c.len());
     }
 

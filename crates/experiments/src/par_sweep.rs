@@ -17,6 +17,20 @@
 //! cell costs (a 1024-entry unified store vs a 64-entry baseline)
 //! load-balance naturally.
 
+// A panic in the fan-out or checkpoint code is a sweep bug, not a
+// cell failure: per-cell containment only means something while
+// panics here stay exceptional, so every panicking construct is
+// flagged and the few that remain say why in an `#[expect]`.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::indexing_slicing,
+    clippy::string_slice
+)]
+
 use crate::runner::RunParams;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -148,11 +162,10 @@ where
                     let mut produced = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
+                        let Some(item) = items.get(i) else {
                             break;
-                        }
-                        // bound: i < items.len() checked above
-                        produced.push((i, call(&items[i])));
+                        };
+                        produced.push((i, call(item)));
                     }
                     produced
                 })
@@ -164,8 +177,12 @@ where
         for worker in workers {
             if let Ok(produced) = worker.join() {
                 for (i, r) in produced {
-                    // bound: i came from the shared counter, capped at items.len()
-                    results[i] = Some(r);
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "i came from the shared counter, capped at items.len()"
+                    )]
+                    let slot = &mut results[i];
+                    *slot = Some(r);
                 }
             }
         }
@@ -203,6 +220,12 @@ where
 
 /// Unwraps every result of an infallible fan-out, re-raising the
 /// first contained failure on the calling thread.
+#[expect(
+    clippy::panic,
+    reason = "unwrap_all backs the documented-infallible par_map and run_cells: \
+              the grids built on them have no row for a failed cell, so the \
+              contained CellError is re-raised on the calling thread"
+)]
 fn unwrap_all<R>(results: Vec<Result<R, CellError>>) -> Vec<R> {
     results
         .into_iter()

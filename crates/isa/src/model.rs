@@ -379,7 +379,7 @@ mod tests {
         let targets = vec![Addr::new(10), Addr::new(20), Addr::new(30)];
         let model = IndirectModel::uniform(targets.clone(), 3);
         let mut rng = XorShift64::new(model.seed());
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..100 {
             seen.insert(model.select(&mut rng));
         }

@@ -24,7 +24,6 @@
 //!
 //! Exit codes: 0 = all clean, 1 = divergence found, 2 = usage error.
 
-use std::time::Instant;
 use tpc_experiments::par_map;
 use tpc_oracle::fuzzgen::FEAT_ALL;
 use tpc_oracle::{
@@ -152,7 +151,11 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let start = Instant::now();
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the clock bounds the fuzz budget (how many cases run), never what any case computes; each case is seed-derived"
+    )]
+    let start = std::time::Instant::now();
     let batch = (args.jobs * 4).max(8) as u64;
     let mut checked: u64 = 0;
 

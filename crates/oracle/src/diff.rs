@@ -14,7 +14,7 @@
 //! static code at its claimed address.
 //!
 //! Two static-analysis gates bracket every run. Before simulating,
-//! the program is linted ([`tpc_analysis::lint`]) and rejected on
+//! the program is linted ([`tpc_analysis::lint()`]) and rejected on
 //! structural errors — a malformed fuzzer input would make any
 //! divergence report meaningless. During simulation, the engine's
 //! activity log is drained each chunk and checked against the

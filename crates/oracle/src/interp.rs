@@ -2,12 +2,13 @@
 //!
 //! A minimal, obviously-correct, single-path in-order interpreter
 //! over [`Program`]. It shares **only** the instruction set and the
-//! control-flow model *specifications* ([`OutcomeModel`] /
-//! [`IndirectModel`]) with the production executor — its machine
-//! state is laid out differently (maps keyed by register/address
-//! instead of dense vectors), it is written for clarity rather than
-//! speed, and it takes no shortcuts: every architectural rule from
-//! DESIGN.md is spelled out inline. The differential runner compares
+//! control-flow model *specifications*
+//! ([`tpc_isa::model::OutcomeModel`] /
+//! [`tpc_isa::model::IndirectModel`]) with the production executor —
+//! its machine state is laid out differently (maps keyed by
+//! register/address instead of dense vectors), it is written for
+//! clarity rather than speed, and it takes no shortcuts: every
+//! architectural rule from DESIGN.md is spelled out inline. The differential runner compares
 //! both the production executor and every simulator configuration
 //! against the retired-instruction stream this interpreter produces.
 

@@ -37,3 +37,9 @@ pub use simulator::{
     StorageKind, SupplySource,
 };
 pub use stream::{DynTrace, TraceStream, TraceVec};
+
+/// Version of the timing model's observable results. A change that
+/// moves any [`SimStats`] word or pinned log digest bumps it (and
+/// appends a pin to `tests/stats_golden.rs`). Sweep checkpoints hash
+/// it, so results recorded by an older model are never replayed.
+pub const MODEL_VERSION: u32 = 1;

@@ -624,8 +624,7 @@ impl<F: Frontend> Simulator<F> {
         }
     }
 
-    /// The frontend-kind identifier (see
-    /// [`Frontend::id`](tpc_exec::Frontend::id)).
+    /// The frontend-kind identifier (see [`Frontend::id`]).
     pub fn frontend_id(&self) -> &'static str {
         self.stream.frontend_id()
     }
@@ -791,6 +790,9 @@ impl<F: Frontend> Simulator<F> {
     }
 
     /// Advances one cycle.
+    // `step` and the per-cycle fns it calls warn on truncating casts:
+    // each one left says in an `#[expect]` why its value fits.
+    #[warn(clippy::cast_possible_truncation)]
     pub fn step(&mut self) {
         self.cycle += 1;
         self.stats.cycles += 1;
@@ -822,6 +824,7 @@ impl<F: Frontend> Simulator<F> {
     /// state — bimodal counters, prefetch fills, constructors,
     /// preconstruction-buffer entries, the start stack — so injection
     /// can move timing and hit rates but never the retirement stream.
+    #[warn(clippy::cast_possible_truncation)]
     fn apply_faults(&mut self) {
         let events = match self.faults.as_mut() {
             Some(fs) => fs.draw(),
@@ -830,7 +833,10 @@ impl<F: Frontend> Simulator<F> {
         for ev in events {
             let landed = match ev.kind {
                 FaultKind::FlipBimodalBit => {
-                    // narrow: masked to 1 bit before the cast
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "flip_bit masks the entry to the table size, so high bits never matter"
+                    )]
                     self.bimodal.flip_bit(ev.a as usize, (ev.b & 1) as u8);
                     true
                 }
@@ -846,7 +852,8 @@ impl<F: Frontend> Simulator<F> {
                 FaultKind::StallConstructor => {
                     self.engine.apply_fault(EngineFault::StallConstructor {
                         salt: ev.a,
-                        cycles: (1 + ev.b % 8) as u32, // narrow: value in 1..=8
+                        #[expect(clippy::cast_possible_truncation, reason = "value in 1..=8")]
+                        cycles: (1 + ev.b % 8) as u32,
                     })
                 }
                 FaultKind::KillConstructor => self
@@ -867,6 +874,7 @@ impl<F: Frontend> Simulator<F> {
     }
 
     /// Retires at most one trace per cycle, in order.
+    #[warn(clippy::cast_possible_truncation)]
     fn retire_stage(&mut self) {
         let Some(front) = self.inflight.front() else {
             return;
@@ -906,6 +914,7 @@ impl<F: Frontend> Simulator<F> {
     }
 
     /// Runs the frontend for one cycle; returns what it did.
+    #[warn(clippy::cast_possible_truncation)]
     fn fetch_stage(&mut self) -> FrontendActivity {
         // A slow-path build in progress owns the I-cache.
         if self.slow_build.is_some() {
@@ -988,6 +997,7 @@ impl<F: Frontend> Simulator<F> {
     /// Starts a slow-path build: enumerate the I-cache lines the
     /// trace's instructions live on and the prediction-repair stalls
     /// the build will incur.
+    #[warn(clippy::cast_possible_truncation)]
     fn begin_slow_build(&mut self, dt: DynTrace) {
         let mut lines = TraceVec::new();
         for ti in dt.trace.instrs() {
@@ -1038,6 +1048,7 @@ impl<F: Frontend> Simulator<F> {
     }
 
     /// One cycle of slow-path progress.
+    #[warn(clippy::cast_possible_truncation)]
     fn advance_slow_build(&mut self) {
         let build = self.slow_build.as_mut().expect("called while building");
         if self.cycle < build.busy_until {
@@ -1071,6 +1082,7 @@ impl<F: Frontend> Simulator<F> {
 
     /// Dispatches a trace to the backend and the preconstruction
     /// engine's dispatch observer.
+    #[warn(clippy::cast_possible_truncation)]
     fn dispatch(&mut self, dt: DynTrace) {
         // RAS maintenance for every dispatched trace. A slow-path
         // build already pushed its calls and popped its returns in
@@ -1094,8 +1106,16 @@ impl<F: Frontend> Simulator<F> {
         self.record(SimEvent::Dispatch {
             cycle: self.cycle,
             start: dt.trace.start(),
-            len: dt.trace.len() as u8, // narrow: trace len capped at 16 slots
-            pe: timing.pe as u8,       // narrow: PE index < pe_count (4)
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "trace len capped at 16 slots"
+            )]
+            len: dt.trace.len() as u8,
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "PE index < pe_count, which Backend::new caps at 7"
+            )]
+            pe: timing.pe as u8,
             source: self.pending_source,
         });
         self.prev_resolve = timing.last_resolve;
@@ -1309,7 +1329,7 @@ mod tests {
             assert!(w[0].cycle() <= w[1].cycle());
         }
         // All three supply sources appear on this config.
-        let sources: std::collections::HashSet<_> = events
+        let sources: Vec<_> = events
             .iter()
             .filter_map(|e| match e {
                 SimEvent::Dispatch { source, .. } => Some(*source),

@@ -5,23 +5,6 @@
 use tpc_processor::{SimConfig, Simulator};
 use tpc_workloads::{Benchmark, WorkloadBuilder};
 
-/// Simulation throughput and headline numbers per benchmark.
-#[test]
-#[ignore = "diagnostic"]
-fn throughput() {
-    use std::time::Instant;
-    let p = WorkloadBuilder::new(Benchmark::Gcc).seed(1).build();
-    let mut sim = Simulator::new(&p, SimConfig::with_precon(256, 256));
-    let t0 = Instant::now();
-    let s = sim.run(1_000_000);
-    println!(
-        "1M instrs in {:?}, ipc={:.2} tcmiss/k={:.1}",
-        t0.elapsed(),
-        s.ipc(),
-        s.tc_misses_per_kilo()
-    );
-}
-
 /// Classifies residual trace-cache misses under preconstruction:
 /// never-built vs. built-but-lost (replacement/timeliness races).
 #[test]

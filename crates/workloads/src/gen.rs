@@ -550,7 +550,7 @@ mod tests {
         // at least touch a decent fraction of the static code.
         let p = WorkloadBuilder::new(Benchmark::Li).seed(1).build();
         let mut ex = Executor::new(&p);
-        let mut touched = std::collections::HashSet::new();
+        let mut touched = std::collections::BTreeSet::new();
         for _ in 0..2_000_000 {
             let d = ex.next().unwrap();
             touched.insert(d.pc);
@@ -593,8 +593,8 @@ mod tests {
         let count_flippy = |b: Benchmark| {
             let p = WorkloadBuilder::new(b).seed(1).build();
             let mut ex = Executor::new(&p);
-            let mut seen: std::collections::HashMap<u32, (bool, bool)> =
-                std::collections::HashMap::new();
+            let mut seen: std::collections::BTreeMap<u32, (bool, bool)> =
+                std::collections::BTreeMap::new();
             for _ in 0..500_000 {
                 let d = ex.next().unwrap();
                 if matches!(d.op.class(), OpClass::Branch) {

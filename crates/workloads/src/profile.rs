@@ -337,7 +337,8 @@ mod tests {
 
     #[test]
     fn all_benchmarks_have_distinct_names() {
-        let names: std::collections::HashSet<_> = Benchmark::ALL.iter().map(|b| b.name()).collect();
+        let names: std::collections::BTreeSet<_> =
+            Benchmark::ALL.iter().map(|b| b.name()).collect();
         assert_eq!(names.len(), 8);
     }
 

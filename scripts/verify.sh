@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Repo verification gate: tier-1 build+test, lints, formatting, the
-# static-analysis conformance fuzz, checkpoint resume, and
-# full-report bit-identity.
+# Repo verification gate: tier-1 build+test, clippy, rustdoc,
+# formatting, the static-analysis conformance fuzz, checkpoint resume,
+# and full-report bit-identity.
 # Everything runs offline.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -13,23 +13,19 @@ echo "== tier-1: cargo test -q =="
 cargo test -q --offline
 
 echo "== cargo clippy --workspace -D warnings =="
+# Also the determinism and panic-hygiene gate: clippy.toml bans hash
+# collections, wall clocks and thread identity; par_sweep.rs and
+# checkpoint.rs warn on every panicking construct; the simulator's
+# per-cycle fns warn on truncating casts. Each remaining site carries
+# an #[expect(..., reason = "...")], and an unfulfilled expectation
+# fails too. The cross-file rules are tests/source_rules.rs.
 cargo clippy --workspace --all-targets --offline -- -D warnings
+
+echo "== cargo doc --workspace -D warnings =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== cargo fmt --check =="
 cargo fmt --check
-
-echo "== self-hosted lint gate (tpc_lint: determinism/panic/conformance rules) =="
-# Parses the workspace's own source and enforces what neither clippy
-# nor the type checker can: no unordered collections, wall clocks, or
-# thread identity in result paths; panic hygiene in the sweep fan-out
-# and checkpoint modules; all-kinds degradation coverage, --jobs and
-# frontend-matrix conformance. (The SimStats codec and the
-# FaultKind list are compiler-checked.) Fails on any unallowlisted
-# finding or stale allowlist entry; every allowlist entry (printed
-# below) carries a written justification. Per-rule counts land in
-# BENCH_lint.json.
-cargo run -p tpc-lint --release --offline --bin tpc_lint -- \
-  --list-allow --json BENCH_lint.json
 
 echo "== workspace test suite (analyzer, oracle, experiments) =="
 cargo test -q --offline --workspace

@@ -9,10 +9,11 @@
 //! it built; the empty log's digest when the engine is off). A
 //! refactor or optimization of the timing model must leave all four
 //! bit-identical; a deliberate model change re-pins them from the
-//! table this test prints on a mismatch.
+//! table this test prints on a mismatch, bumps `MODEL_VERSION` and
+//! appends a `PINS` row.
 
 use trace_preconstruction::core::{EngineActivity, FaultPlan};
-use trace_preconstruction::processor::{SimConfig, SimStats, Simulator};
+use trace_preconstruction::processor::{SimConfig, SimStats, Simulator, MODEL_VERSION};
 use trace_preconstruction::workloads::{Benchmark, WorkloadBuilder};
 
 const WARMUP: u64 = 20_000;
@@ -251,6 +252,42 @@ const GOLDEN: &[Golden] = &[
         ],
     ),
 ];
+
+/// Every pin of `GOLDEN`, append-only: `(MODEL_VERSION, digest of
+/// GOLDEN)`. A re-pin appends a row under a bumped [`MODEL_VERSION`],
+/// so checkpoints written by the old model stop matching.
+const PINS: &[(u32, u64)] = &[(1, 0xab0b3a8b191641ab)];
+
+/// FNV-1a digest of the whole `GOLDEN` table.
+fn golden_digest() -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for (bench, name, retire, events, activity, words) in GOLDEN {
+        for text in [bench, name] {
+            fnv64(&mut h, text.as_bytes());
+            fnv64(&mut h, &[0]);
+        }
+        for word in [retire, events, activity].into_iter().chain(words) {
+            fnv64(&mut h, &word.to_le_bytes());
+        }
+    }
+    h
+}
+
+#[test]
+fn golden_pins_track_the_model_version() {
+    let digest = golden_digest();
+    assert_eq!(
+        PINS.last(),
+        Some(&(MODEL_VERSION, digest)),
+        "GOLDEN changed: bump MODEL_VERSION and append a PINS row with digest {digest:#018x}"
+    );
+    assert!(
+        PINS.windows(2).all(|w| w[0].0 < w[1].0),
+        "PINS versions strictly increase"
+    );
+    let digests: std::collections::BTreeSet<u64> = PINS.iter().map(|pin| pin.1).collect();
+    assert_eq!(digests.len(), PINS.len(), "every pin is a distinct GOLDEN");
+}
 
 #[test]
 fn stats_and_logs_match_golden() {
