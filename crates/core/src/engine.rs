@@ -19,7 +19,7 @@ use crate::constructor::{Step, TraceConstructor};
 use crate::faults::EngineFault;
 use crate::start_stack::{StartPointStack, StartReason};
 use crate::storage::TraceStore;
-use crate::trace::Trace;
+use crate::trace::{Trace, TraceInstr};
 use std::collections::{BTreeSet, VecDeque};
 use tpc_isa::{Addr, Op, OpClass, Program};
 use tpc_mem::{AccessKind, InstrCache, PrefetchCache};
@@ -54,7 +54,14 @@ pub struct EngineConfig {
     /// Trace start points a region worklist can hold.
     pub worklist_cap: usize,
     /// Run the preprocessing pipeline over preconstructed traces
-    /// (extended pipeline model, Section 6).
+    /// (extended pipeline model, Section 6). The engine files traces
+    /// unannotated: the annotations are computed when a
+    /// preconstructed trace is first fetched, by a store the
+    /// processor sets up from this field
+    /// ([`crate::storage::SplitStore::preprocess_at_first_use`]).
+    /// `preprocess` is a pure function of the instructions, so this
+    /// gives the results of preprocessing at fill, without paying it
+    /// for the many traces never fetched.
     pub preprocess: bool,
     /// Seed loop-exit regions at all four phases of the mod-4
     /// alignment lattice instead of only the branch fall-through.
@@ -192,13 +199,12 @@ pub enum EngineActivity {
 /// One region slot, paired with one prefetch cache. A slot is reused
 /// in place: activating a region clears its buffers but keeps their
 /// storage, so the engine allocates nothing per region once every
-/// buffer has reached its working size.
+/// buffer has reached its working size. Whether the slot is live, and
+/// its start address, live in the engine's `live` mask and `starts`
+/// array; the fields below mean something only while it is live.
 #[derive(Debug)]
 struct Region {
-    /// Whether the slot holds a region under exploration.
-    live: bool,
     id: u64,
-    start: Addr,
     prefetch: PrefetchCache,
     /// Trace start points still to construct, oldest first.
     worklist: VecDeque<Addr>,
@@ -213,9 +219,7 @@ struct Region {
 impl Region {
     fn new(config: &EngineConfig) -> Self {
         Region {
-            live: false,
             id: 0,
-            start: Addr::ZERO,
             prefetch: PrefetchCache::new(config.prefetch_capacity),
             worklist: VecDeque::with_capacity(worklist_bound(config)),
             seen: Vec::new(),
@@ -249,19 +253,55 @@ fn salt_pick(n: usize, salt: u64, pred: impl Fn(usize) -> bool) -> Option<usize>
     (0..n).filter(|&i| pred(i)).nth(salt as usize % count)
 }
 
+/// The indices of the set bits of `mask`, lowest first.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let i = mask.trailing_zeros();
+        mask &= mask.wrapping_sub(1);
+        (i < 64).then_some(i as usize)
+    })
+}
+
+/// Most region slots or constructors an engine can have: one bit each
+/// in a `u64` mask.
+const MAX_MASK_SLOTS: usize = 64;
+
 /// The preconstruction engine. See the module docs for the overall
 /// flow; drive it with one [`PreconEngine::tick`] per processor
 /// cycle plus the dispatch/retire/squash observation hooks.
+///
+/// Per-cycle bookkeeping touches only state that changed. Four `u64`
+/// masks index the region slots (bit `i` is slot `i`): `live`, `work`
+/// (live with a non-empty worklist), `in_flight` (live with a line
+/// fetch pending) and `wants` (live with a wanted line). `next_land`
+/// is the earliest pending arrival. A constructor blocked on a
+/// missing line is *parked*: until a fetch lands in its region it
+/// re-asserts its line instead of polling its prefetch cache.
 #[derive(Debug)]
 pub struct PreconEngine {
     config: EngineConfig,
     stack: StartPointStack,
     regions: Vec<Region>,
+    /// Start address of each live region slot (the catch-up check).
+    starts: Vec<Addr>,
+    /// Mask of every slot.
+    all_slots: u64,
+    live: u64,
+    work: u64,
+    in_flight: u64,
+    wants: u64,
+    /// Earliest `ready` over the in-flight fetches (`u64::MAX` when
+    /// none).
+    next_land: u64,
     constructors: Vec<TraceConstructor>,
     /// Region slot each constructor works for.
     assignment: Vec<Option<usize>>,
+    /// The address each parked constructor is blocked on.
+    parked: Vec<Option<Addr>>,
     /// Remaining fault-injected stall cycles per constructor.
     stalls: Vec<u32>,
+    /// Mask of constructors with a stall counting down.
+    stalled: u64,
     next_region_id: u64,
     stats: EngineStats,
     built_keys: BTreeSet<u64>,
@@ -274,17 +314,42 @@ impl PreconEngine {
     /// preconstruction ways) are passed into [`PreconEngine::tick`]
     /// by the processor, which probes them in parallel with its trace
     /// cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `prefetch_caches` or `constructors` exceeds 64: the
+    /// engine indexes both with one bit each in a `u64` mask.
     pub fn new(config: EngineConfig) -> Self {
+        for (field, n) in [
+            ("prefetch_caches", config.prefetch_caches),
+            ("constructors", config.constructors),
+        ] {
+            assert!(
+                n <= MAX_MASK_SLOTS,
+                "engine {field} must be at most {MAX_MASK_SLOTS}, got {n}"
+            );
+        }
         PreconEngine {
             stack: StartPointStack::new(config.stack_depth.max(1), config.completed_entries),
             regions: (0..config.prefetch_caches)
                 .map(|_| Region::new(&config))
                 .collect(),
+            starts: vec![Addr::ZERO; config.prefetch_caches],
+            all_slots: u64::MAX
+                .checked_shr((MAX_MASK_SLOTS - config.prefetch_caches) as u32)
+                .unwrap_or(0),
+            live: 0,
+            work: 0,
+            in_flight: 0,
+            wants: 0,
+            next_land: u64::MAX,
             constructors: (0..config.constructors)
                 .map(|_| TraceConstructor::new(config.decision_depth))
                 .collect(),
             assignment: vec![None; config.constructors],
+            parked: vec![None; config.constructors],
             stalls: vec![0; config.constructors],
+            stalled: 0,
             next_region_id: 1,
             stats: EngineStats::default(),
             built_keys: BTreeSet::new(),
@@ -321,11 +386,18 @@ impl PreconEngine {
         std::mem::take(&mut self.activity)
     }
 
-    /// Checks the engine's structural invariants: the start stack
-    /// within its configured 16 + 4 bound, every constructor
-    /// assignment pointing at a live region slot, and region
-    /// worklists within their configured cap. Called by the
-    /// differential oracle after every simulation chunk.
+    /// Checks the engine's structural invariants:
+    ///
+    /// * the start stack within its configured 16 + 4 bound;
+    /// * a constructor holds work exactly when it is assigned, and
+    ///   every assignment points at a live region slot;
+    /// * region worklists within their configured cap;
+    /// * every mask bit equals its field predicate, and `next_land`
+    ///   is the earliest pending arrival;
+    /// * a parked constructor is building, and its line is not
+    ///   resident in its region's prefetch cache.
+    ///
+    /// Called by the differential oracle after every simulation chunk.
     pub fn check_invariants(&self) -> Result<(), String> {
         self.stack.check_invariants()?;
         if self.stack.depth() != self.config.stack_depth.max(1)
@@ -346,18 +418,48 @@ impl PreconEngine {
                 self.config.prefetch_caches
             ));
         }
-        for (c, a) in self.assignment.iter().enumerate() {
-            if let Some(slot) = a {
-                if *slot >= self.regions.len() {
+        for (c, ctor) in self.constructors.iter().enumerate() {
+            let assigned = self.assignment[c];
+            if let Some(slot) = assigned {
+                if slot >= self.regions.len() || self.live & 1 << slot == 0 {
                     return Err(format!(
-                        "constructor {c} assigned to out-of-range region slot {slot}"
+                        "constructor {c} assigned to region slot {slot}, which is not live"
                     ));
                 }
             }
+            if assigned.is_some() == ctor.is_idle() {
+                return Err(format!(
+                    "constructor {c}: assigned {assigned:?} but idle {}",
+                    ctor.is_idle()
+                ));
+            }
+            if let Some(addr) = self.parked[c] {
+                let resident = assigned.is_some_and(|s| self.regions[s].prefetch.contains(addr));
+                if assigned.is_none() || !ctor.is_building() || resident {
+                    return Err(format!(
+                        "constructor {c} parked on {addr:?} while assigned {assigned:?}, \
+                         building {}, line resident {resident}",
+                        ctor.is_building()
+                    ));
+                }
+            }
+            if (self.stalled >> c & 1 == 1) != (self.stalls[c] > 0) {
+                return Err(format!("constructor {c}: stall mask out of sync"));
+            }
         }
         let worklist_bound = worklist_bound(&self.config);
-        for region in self.regions.iter().filter(|r| r.live) {
-            if region.worklist.len() > worklist_bound {
+        for (i, region) in self.regions.iter().enumerate() {
+            let live = self.live & 1 << i != 0;
+            for (name, mask, holds) in [
+                ("work", self.work, !region.worklist.is_empty()),
+                ("in_flight", self.in_flight, region.pending.is_some()),
+                ("wants", self.wants, region.want_line.is_some()),
+            ] {
+                if (mask & 1 << i != 0) != (live && holds) {
+                    return Err(format!("region slot {i}: {name} mask bit out of sync"));
+                }
+            }
+            if live && region.worklist.len() > worklist_bound {
                 return Err(format!(
                     "region {} worklist holds {} entries, cap is {}",
                     region.id,
@@ -365,6 +467,16 @@ impl PreconEngine {
                     worklist_bound
                 ));
             }
+        }
+        if self.live & !self.all_slots != 0 {
+            return Err(format!("live mask {:#x} names absent slots", self.live));
+        }
+        if self.next_land != self.earliest_landing() {
+            return Err(format!(
+                "next_land {} but the earliest pending fetch lands at {}",
+                self.next_land,
+                self.earliest_landing()
+            ));
         }
         Ok(())
     }
@@ -380,36 +492,39 @@ impl PreconEngine {
         }
     }
 
+    /// [`PreconEngine::observe_dispatch`] of every instruction of a
+    /// dispatched trace, in order, the first numbered `first_seq`.
+    #[inline]
+    pub fn observe_dispatch_trace(&mut self, instrs: &[TraceInstr], first_seq: u64) {
+        if self.config.enabled {
+            for (seq, ti) in (first_seq..).zip(instrs) {
+                self.observe_dispatch_enabled(ti.pc, &ti.op, seq);
+            }
+        }
+    }
+
     /// [`PreconEngine::observe_dispatch`] of an enabled engine.
+    #[inline]
     fn observe_dispatch_enabled(&mut self, pc: Addr, op: &Op, seq: u64) {
-        match op.class() {
-            OpClass::Call => {
-                self.stats.start_points_observed += 1;
-                if self.config.record_activity {
-                    self.activity.push(EngineActivity::StartPointPushed {
-                        addr: pc.next(),
-                        reason: StartReason::CallReturn,
-                        seq,
-                    });
-                }
-                self.stack.push(pc.next(), StartReason::CallReturn, seq);
+        let reason = match op.class() {
+            OpClass::Call => Some(StartReason::CallReturn),
+            OpClass::Branch if op.is_backward_branch(pc) => Some(StartReason::LoopExit),
+            _ => None,
+        };
+        if let Some(reason) = reason {
+            self.stats.start_points_observed += 1;
+            if self.config.record_activity {
+                self.activity.push(EngineActivity::StartPointPushed {
+                    addr: pc.next(),
+                    reason,
+                    seq,
+                });
             }
-            OpClass::Branch if op.is_backward_branch(pc) => {
-                self.stats.start_points_observed += 1;
-                if self.config.record_activity {
-                    self.activity.push(EngineActivity::StartPointPushed {
-                        addr: pc.next(),
-                        reason: StartReason::LoopExit,
-                        seq,
-                    });
-                }
-                self.stack.push(pc.next(), StartReason::LoopExit, seq);
-            }
-            _ => {}
+            self.stack.push(pc.next(), reason, seq);
         }
         // Catch-up: the processor reached a region being explored.
-        for i in 0..self.regions.len() {
-            if self.regions[i].live && self.regions[i].start == pc {
+        for i in bits(self.live) {
+            if self.starts[i] == pc {
                 self.retire_region(i, RegionEnd::CaughtUp);
             }
         }
@@ -453,7 +568,8 @@ impl PreconEngine {
         }
     }
 
-    /// [`PreconEngine::tick`] of an enabled engine.
+    /// [`PreconEngine::tick`] of an enabled engine. Each phase runs
+    /// only when a mask says it has something to do.
     fn tick_enabled(
         &mut self,
         cycle: u64,
@@ -466,9 +582,13 @@ impl PreconEngine {
         if self.is_quiescent() {
             return;
         }
-        self.activate_regions();
-        self.land_pending_fetches(cycle);
-        if slow_path_idle {
+        if !self.stack.is_empty() && self.live != self.all_slots {
+            self.activate_regions();
+        }
+        if cycle >= self.next_land {
+            self.land_pending_fetches(cycle);
+        }
+        if slow_path_idle && self.wants & !self.in_flight != 0 {
             for _ in 0..self.config.fetch_width {
                 self.issue_line_fetch(cycle, icache);
             }
@@ -478,22 +598,15 @@ impl PreconEngine {
     }
 
     /// Whether a tick would change nothing: no start point to
-    /// activate, no live region, and no constructor holding work, an
-    /// assignment or a fault stall.
+    /// activate, no live region (so no constructor holds work), and
+    /// no fault stall counting down.
     fn is_quiescent(&self) -> bool {
-        self.stack.is_empty()
-            && self.regions.iter().all(|r| !r.live)
-            && self.constructors.iter().all(TraceConstructor::is_idle)
-            && self.assignment.iter().all(Option::is_none)
-            && self.stalls.iter().all(|&s| s == 0)
+        self.stack.is_empty() && self.live == 0 && self.stalled == 0
     }
 
     /// Pops start points into free region slots.
     fn activate_regions(&mut self) {
-        for slot in self.regions.iter_mut() {
-            if slot.live {
-                continue;
-            }
+        for slot in bits(self.all_slots & !self.live) {
             let Some(sp) = self.stack.pop() else { break };
             // Loop-exit regions are seeded at all four phases of the
             // mod-4 alignment lattice: the processor's trace that
@@ -508,58 +621,81 @@ impl PreconEngine {
                 }
                 _ => 1,
             };
-            slot.live = true;
-            slot.id = self.next_region_id;
-            slot.start = sp.addr;
-            slot.prefetch.clear();
-            slot.worklist.clear();
-            slot.seen.clear();
-            slot.want_line = None;
-            slot.pending = None;
+            let region = &mut self.regions[slot];
+            region.id = self.next_region_id;
+            region.prefetch.clear();
+            region.worklist.clear();
+            region.seen.clear();
+            region.want_line = None;
+            region.pending = None;
             for k in 0..seeds {
-                slot.queue(sp.addr + k * crate::trace::ALIGN_QUANTUM as u32);
+                region.queue(sp.addr + k * crate::trace::ALIGN_QUANTUM as u32);
             }
+            self.starts[slot] = sp.addr;
+            self.live |= 1 << slot;
+            self.work |= 1 << slot;
             self.next_region_id += 1;
             self.stats.regions_started += 1;
         }
     }
 
-    /// Moves arrived line fetches into their prefetch caches.
+    /// Moves arrived line fetches into their prefetch caches and
+    /// wakes the landing region's parked constructors.
     fn land_pending_fetches(&mut self, cycle: u64) {
-        for i in 0..self.regions.len() {
+        for i in bits(self.in_flight) {
             let region = &mut self.regions[i];
-            if !region.live {
+            let (addr, ready) = region.pending.expect("in-flight bit set");
+            if cycle < ready {
                 continue;
             }
-            if let Some((addr, ready)) = region.pending {
-                if cycle >= ready {
-                    region.pending = None;
-                    if !region.prefetch.insert_line(addr) {
-                        self.retire_region(i, RegionEnd::FetchBound);
-                    }
-                }
+            region.pending = None;
+            self.in_flight &= !(1 << i);
+            if region.prefetch.insert_line(addr) {
+                self.unpark_region(i);
+            } else {
+                self.retire_region(i, RegionEnd::FetchBound);
             }
         }
+        self.next_land = self.earliest_landing();
+    }
+
+    /// The earliest arrival cycle over the in-flight fetches.
+    fn earliest_landing(&self) -> u64 {
+        bits(self.in_flight)
+            .filter_map(|i| self.regions[i].pending.map(|(_, ready)| ready))
+            .min()
+            .unwrap_or(u64::MAX)
     }
 
     /// Issues at most one I-cache line fetch for the newest region
     /// that is stalled waiting for a line.
     fn issue_line_fetch(&mut self, cycle: u64, icache: &mut InstrCache) {
-        let candidate = self
-            .regions
-            .iter_mut()
-            .filter(|r| r.live && r.pending.is_none() && r.want_line.is_some())
-            .max_by_key(|r| r.id);
-        if let Some(region) = candidate {
-            let addr = region.want_line.take().expect("filtered on is_some");
-            let line_base = InstrCache::line_base(addr);
-            let res = icache.fetch(line_base, AccessKind::Precon);
-            region.pending = Some((line_base, cycle + res.latency as u64));
-            self.stats.lines_fetched += 1;
-        }
+        let Some(slot) = self.newest(self.wants & !self.in_flight) else {
+            return;
+        };
+        let region = &mut self.regions[slot];
+        let addr = region.want_line.take().expect("wants bit set");
+        let line_base = InstrCache::line_base(addr);
+        let res = icache.fetch(line_base, AccessKind::Precon);
+        let ready = cycle + res.latency as u64;
+        region.pending = Some((line_base, ready));
+        self.wants &= !(1 << slot);
+        self.in_flight |= 1 << slot;
+        self.next_land = self.next_land.min(ready);
+        self.stats.lines_fetched += 1;
+    }
+
+    /// The newest (highest-id) region among the slots in `mask`.
+    fn newest(&self, mask: u64) -> Option<usize> {
+        bits(mask).max_by_key(|&i| self.regions[i].id)
     }
 
     /// Runs every constructor for up to `decode_width` instructions.
+    ///
+    /// A parked constructor does not poll: its prefetch cache has not
+    /// changed since it parked, so a poll would return the same
+    /// `NeedLine`. It re-asserts its line as its region's wanted
+    /// line at its turn, exactly as that poll would.
     fn run_constructors(
         &mut self,
         program: &Program,
@@ -567,8 +703,23 @@ impl PreconEngine {
         store: &mut dyn TraceStore,
     ) {
         for c in 0..self.constructors.len() {
-            if self.stalls[c] > 0 {
+            if self.stalled & 1 << c != 0 {
                 self.stalls[c] -= 1;
+                if self.stalls[c] == 0 {
+                    self.stalled &= !(1 << c);
+                }
+                continue;
+            }
+            if let Some(addr) = self.parked[c] {
+                // Known model defect, kept because fixing it moves
+                // counters: re-asserting `want_line` while the line
+                // is in flight makes the engine fetch the same,
+                // already-resident line a second time once the fill
+                // lands (ROADMAP, "One measurement window, by
+                // subtraction").
+                let slot = self.assignment[c].expect("parked constructors are assigned");
+                self.regions[slot].want_line = Some(addr);
+                self.wants |= 1 << slot;
                 continue;
             }
             let mut budget = self.config.decode_width;
@@ -578,29 +729,17 @@ impl PreconEngine {
                 if self.constructors[c].is_idle() && !self.assign_work(c) {
                     break;
                 }
-                let Some(slot) = self.assignment[c] else {
-                    break;
-                };
+                let slot = self.assignment[c].expect("a busy constructor is assigned");
                 let region = &mut self.regions[slot];
-                if !region.live {
-                    self.assignment[c] = None;
-                    continue;
-                }
                 match self.constructors[c].run(&mut budget, program, &region.prefetch, bimodal) {
                     Step::BudgetSpent => {}
                     Step::NeedLine(addr) => {
                         if region.prefetch.is_full() {
                             self.retire_region(slot, RegionEnd::FetchBound);
                         } else {
-                            // Known model defect, kept because fixing
-                            // it moves counters: a constructor that
-                            // re-polls while its line is in flight
-                            // sets `want_line` again, so once the fill
-                            // lands the engine fetches the same,
-                            // already-resident line a second time
-                            // (ROADMAP, "One measurement window, by
-                            // subtraction").
                             region.want_line = Some(addr);
+                            self.wants |= 1 << slot;
+                            self.parked[c] = Some(addr);
                         }
                         break;
                     }
@@ -613,8 +752,19 @@ impl PreconEngine {
         }
     }
 
+    /// Wakes every constructor parked on region `slot`.
+    fn unpark_region(&mut self, slot: usize) {
+        for (p, a) in self.parked.iter_mut().zip(&self.assignment) {
+            if *a == Some(slot) {
+                *p = None;
+            }
+        }
+    }
+
     /// Handles a completed trace: queue its successor, store it in
     /// the buffers (unless already cached), resume alternatives.
+    /// Traces are filed unannotated; the store preprocesses them at
+    /// first use (see [`EngineConfig::preprocess`]).
     fn file_trace(
         &mut self,
         ctor: usize,
@@ -637,14 +787,12 @@ impl PreconEngine {
             self.built_keys.insert(trace.key().hash64());
         }
         let region = &mut self.regions[slot];
-        if !region.live {
-            return;
-        }
         let region_id = region.id;
         if let Some(succ) = trace.successor() {
             if region.seen.binary_search(&succ).is_err() {
                 if region.worklist.len() < self.config.worklist_cap {
                     region.queue(succ);
+                    self.work |= 1 << slot;
                 } else {
                     self.stats.successors_dropped += 1;
                 }
@@ -652,17 +800,10 @@ impl PreconEngine {
         }
         if store.contains_cached(trace.key()) {
             self.stats.traces_already_cached += 1;
-        } else {
-            let mut trace = trace;
-            if self.config.preprocess {
-                let info = crate::preprocess::preprocess(&trace);
-                trace.set_preprocess(info);
-            }
-            if !store.fill_precon(trace, region_id) {
-                // Buffer bound: the primary per-region resource limit.
-                self.retire_region(slot, RegionEnd::BufferBound);
-                return;
-            }
+        } else if !store.fill_precon(trace, region_id) {
+            // Buffer bound: the primary per-region resource limit.
+            self.retire_region(slot, RegionEnd::BufferBound);
+            return;
         }
         if !self.constructors[ctor].backtrack(program) {
             self.assignment[ctor] = None;
@@ -672,44 +813,33 @@ impl PreconEngine {
     /// Finds work for an idle constructor: the newest region with a
     /// non-empty worklist. Returns false when no work exists.
     fn assign_work(&mut self, ctor: usize) -> bool {
-        let slot = self
-            .regions
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.live && !r.worklist.is_empty())
-            .max_by_key(|(_, r)| r.id)
-            .map(|(i, _)| i);
-        let Some(slot) = slot else {
-            self.assignment[ctor] = None;
+        let Some(slot) = self.newest(self.work) else {
             return false;
         };
-        let start = self.regions[slot]
-            .worklist
-            .pop_front()
-            .expect("selected non-empty");
+        let region = &mut self.regions[slot];
+        let start = region.worklist.pop_front().expect("work bit set");
+        if region.worklist.is_empty() {
+            self.work &= !(1 << slot);
+        }
         self.constructors[ctor].start(start);
         self.assignment[ctor] = Some(slot);
         true
     }
 
-    /// Frees regions with no remaining work.
+    /// Frees regions with no remaining work: no worklist, no fetch in
+    /// flight or wanted, and no busy constructor.
     fn complete_quiet_regions(&mut self) {
-        for i in 0..self.regions.len() {
-            let quiet = {
-                let region = &self.regions[i];
-                region.live
-                    && region.worklist.is_empty()
-                    && region.pending.is_none()
-                    && region.want_line.is_none()
-                    && !self
-                        .assignment
-                        .iter()
-                        .zip(&self.constructors)
-                        .any(|(a, c)| *a == Some(i) && !c.is_idle())
-            };
-            if quiet {
-                self.retire_region(i, RegionEnd::Completed);
-            }
+        let quiet = self.live & !(self.work | self.in_flight | self.wants);
+        if quiet == 0 {
+            return;
+        }
+        let busy = self
+            .assignment
+            .iter()
+            .flatten()
+            .fold(0u64, |m, &slot| m | 1 << slot);
+        for i in bits(quiet & !busy) {
+            self.retire_region(i, RegionEnd::Completed);
         }
     }
 
@@ -736,6 +866,9 @@ impl PreconEngine {
                 let region = &mut self.regions[slot];
                 let (addr, _) = region.pending.take().expect("picked pending");
                 region.want_line = Some(addr);
+                self.in_flight &= !(1 << slot);
+                self.wants |= 1 << slot;
+                self.next_land = self.earliest_landing();
                 true
             }
             EngineFault::DelayPrefetchFill { salt, extra } => {
@@ -744,6 +877,7 @@ impl PreconEngine {
                 };
                 let (_, ready) = self.regions[slot].pending.as_mut().expect("picked pending");
                 *ready += extra;
+                self.next_land = self.earliest_landing();
                 true
             }
             EngineFault::StallConstructor { salt, cycles } => {
@@ -751,6 +885,9 @@ impl PreconEngine {
                     return false;
                 };
                 self.stalls[c] = self.stalls[c].max(cycles);
+                if self.stalls[c] > 0 {
+                    self.stalled |= 1 << c;
+                }
                 true
             }
             EngineFault::KillConstructor { salt } => {
@@ -759,6 +896,7 @@ impl PreconEngine {
                 };
                 self.constructors[c].abort();
                 self.assignment[c] = None;
+                self.parked[c] = None;
                 true
             }
             EngineFault::PopStartPoint => self.stack.pop().is_some(),
@@ -774,9 +912,11 @@ impl PreconEngine {
 
     /// Salt-chosen region slot with an in-flight line fetch.
     fn pick_pending_region(&self, salt: u64) -> Option<usize> {
-        salt_pick(self.regions.len(), salt, |i| {
-            self.regions[i].live && self.regions[i].pending.is_some()
-        })
+        let count = self.in_flight.count_ones() as usize;
+        if count == 0 {
+            return None;
+        }
+        bits(self.in_flight).nth(salt as usize % count)
     }
 
     /// Salt-chosen constructor that is currently mid-trace.
@@ -787,23 +927,28 @@ impl PreconEngine {
     }
 
     fn retire_region(&mut self, slot: usize, end: RegionEnd) {
-        let region = &mut self.regions[slot];
-        if !region.live {
-            return;
+        let bit = 1 << slot;
+        debug_assert!(self.live & bit != 0, "retiring a free region slot");
+        let landing = self.in_flight & bit != 0;
+        self.live &= !bit;
+        self.work &= !bit;
+        self.in_flight &= !bit;
+        self.wants &= !bit;
+        if landing {
+            self.next_land = self.earliest_landing();
         }
-        region.live = false;
-        let start = region.start;
         match end {
             RegionEnd::Completed => self.stats.regions_completed += 1,
             RegionEnd::CaughtUp => self.stats.regions_caught_up += 1,
             RegionEnd::FetchBound => self.stats.regions_fetch_bound += 1,
             RegionEnd::BufferBound => self.stats.regions_buffer_bound += 1,
         }
-        self.stack.mark_completed(start);
-        for (c, a) in self.assignment.iter_mut().enumerate() {
-            if *a == Some(slot) {
+        self.stack.mark_completed(self.starts[slot]);
+        for c in 0..self.constructors.len() {
+            if self.assignment[c] == Some(slot) {
                 self.constructors[c].abort();
-                *a = None;
+                self.assignment[c] = None;
+                self.parked[c] = None;
             }
         }
     }
@@ -1000,22 +1145,35 @@ mod tests {
     }
 
     #[test]
-    fn preprocess_flag_annotates_traces() {
+    #[should_panic(expected = "engine prefetch_caches must be at most 64, got 65")]
+    fn more_regions_than_mask_bits_are_rejected() {
+        PreconEngine::new(EngineConfig {
+            prefetch_caches: 65,
+            ..EngineConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "engine constructors must be at most 64, got 65")]
+    fn more_constructors_than_mask_bits_are_rejected() {
+        PreconEngine::new(EngineConfig {
+            constructors: 65,
+            ..EngineConfig::default()
+        });
+    }
+
+    #[test]
+    fn sixty_four_regions_and_constructors_are_accepted() {
         let p = call_program();
         let mut e = PreconEngine::new(EngineConfig {
-            preprocess: true,
+            prefetch_caches: 64,
+            constructors: 64,
             ..EngineConfig::default()
         });
         e.observe_dispatch(Addr::new(0), p.fetch(Addr::new(0)).unwrap(), 1);
-        let mut store = drive(&mut e, &p, 200);
-        let key = TraceKey {
-            start: Addr::new(1),
-            branch_count: 0,
-            outcomes: 0,
-        };
-        let f = store.fetch(key);
-        assert!(f.hit, "trace built");
-        assert!(f.preprocess.is_some());
+        drive(&mut e, &p, 200);
+        assert!(e.stats().traces_built >= 1);
+        assert!(e.check_invariants().is_ok());
     }
 
     #[test]

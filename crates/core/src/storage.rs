@@ -14,7 +14,7 @@
 //! only fill placement does.
 
 use crate::precon_buffer::PreconBuffers;
-use crate::preprocess::PreprocessInfo;
+use crate::preprocess::{preprocess, PreprocessInfo};
 use crate::slots::{fault_victim, probe_or_free, ProbeSlot};
 use crate::trace::Trace;
 use crate::trace_cache::TraceCache;
@@ -154,6 +154,8 @@ pub struct SplitStore {
     tc: TraceCache,
     pb: PreconBuffers,
     counters: StoreCounters,
+    /// Preprocess a preconstructed trace when it is first fetched.
+    preprocess: bool,
 }
 
 impl SplitStore {
@@ -168,7 +170,18 @@ impl SplitStore {
             tc: TraceCache::new(tc_entries),
             pb: PreconBuffers::new(pb_entries),
             counters: StoreCounters::default(),
+            preprocess: false,
         }
+    }
+
+    /// Sets whether a preconstructed trace is preprocessed when it is
+    /// first fetched: the buffer hit that promotes it annotates it,
+    /// and the promoted copy keeps the annotations for later hits.
+    /// The engine files traces unannotated, so this is where the
+    /// extended pipeline's preconstructed traces get theirs.
+    pub fn preprocess_at_first_use(mut self, on: bool) -> Self {
+        self.preprocess = on;
+        self
     }
 
     /// The trace-cache half (stats, occupancy).
@@ -193,14 +206,17 @@ impl TraceStore for SplitStore {
                 preprocess: t.preprocess_shared(),
             };
         }
-        if let Some(t) = self.pb.take(key) {
+        if let Some(mut t) = self.pb.take(key) {
             self.counters.precon_hits += 1;
-            let preprocess = t.preprocess_shared();
+            if self.preprocess {
+                t.set_preprocess(preprocess(&t));
+            }
+            let info = t.preprocess_shared();
             self.tc.fill(t);
             return StoreFetch {
                 hit: true,
                 from_precon: true,
-                preprocess,
+                preprocess: info,
             };
         }
         self.counters.misses += 1;
@@ -333,6 +349,8 @@ pub struct UnifiedStore {
     /// diagnostics.
     adaptations: Vec<(u64, u8)>,
     epoch_index: u64,
+    /// Preprocess a preconstructed trace when it is first fetched.
+    preprocess: bool,
 }
 
 const UNIFIED_WAYS: usize = 4;
@@ -366,8 +384,18 @@ impl UnifiedStore {
             epoch_misses: 0,
             adaptations: Vec::new(),
             epoch_index: 0,
+            preprocess: false,
             config,
         }
+    }
+
+    /// Sets whether a preconstructed trace is preprocessed on its
+    /// first use, when its hit clears the region tag; the entry keeps
+    /// the annotations for later hits. See
+    /// [`SplitStore::preprocess_at_first_use`].
+    pub fn preprocess_at_first_use(mut self, on: bool) -> Self {
+        self.preprocess = on;
+        self
     }
 
     /// Ways currently assigned to the preconstruction role.
@@ -422,6 +450,9 @@ impl TraceStore for UnifiedStore {
             if s.trace.key() == key {
                 s.stamp = clock;
                 let from_precon = s.region.take().is_some();
+                if from_precon && self.preprocess {
+                    s.trace.set_preprocess(preprocess(&s.trace));
+                }
                 result = StoreFetch {
                     hit: true,
                     from_precon,
@@ -667,6 +698,53 @@ mod tests {
         s.fetch(key);
         let c = s.counters();
         assert_eq!(c.fetches, c.tc_hits + c.precon_hits + c.misses);
+    }
+
+    /// A preconstructed trace fills unannotated and is annotated by
+    /// its first fetch exactly when the store preprocesses at first
+    /// use; later hits on the promoted copy share those annotations.
+    fn check_first_use_preprocessing(store: &mut dyn TraceStore, on: bool) {
+        let t = mk_trace(48);
+        let key = t.key();
+        assert!(store.fill_precon(t.clone(), 1));
+        let first = store.fetch(key);
+        assert!(first.hit && first.from_precon);
+        assert_eq!(first.preprocess.is_some(), on, "first fetch");
+        if let Some(info) = &first.preprocess {
+            assert_eq!(**info, crate::preprocess::preprocess(&t));
+        }
+        for _ in 0..2 {
+            let again = store.fetch(key);
+            assert!(again.hit && !again.from_precon);
+            match (&first.preprocess, &again.preprocess) {
+                (Some(a), Some(b)) => assert!(Arc::ptr_eq(a, b), "same annotations"),
+                (None, None) => {}
+                other => panic!("annotations changed between hits: {other:?}"),
+            }
+        }
+        // Demand fills are the fill unit's to annotate.
+        let demand = mk_trace(64);
+        let demand_key = demand.key();
+        store.fill_demand(demand);
+        assert!(store.fetch(demand_key).preprocess.is_none());
+    }
+
+    #[test]
+    fn split_preprocesses_precon_traces_at_first_use() {
+        for on in [false, true] {
+            let mut s = SplitStore::new(64, 32).preprocess_at_first_use(on);
+            check_first_use_preprocessing(&mut s, on);
+        }
+        check_first_use_preprocessing(&mut SplitStore::new(64, 32), false);
+    }
+
+    #[test]
+    fn unified_preprocesses_precon_traces_at_first_use() {
+        for on in [false, true] {
+            let mut s = unified(64, 1, 0).preprocess_at_first_use(on);
+            check_first_use_preprocessing(&mut s, on);
+        }
+        check_first_use_preprocessing(&mut unified(64, 1, 0), false);
     }
 
     // ---- UnifiedStore ---------------------------------------------

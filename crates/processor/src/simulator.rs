@@ -116,8 +116,8 @@ impl SimConfig {
         }
     }
 
-    /// Enables trace preprocessing (both on the fill path and in the
-    /// preconstruction engine).
+    /// Enables trace preprocessing, both on the slow-path fill and
+    /// for preconstructed traces at their first fetch.
     pub fn with_preprocess(mut self) -> Self {
         self.preprocess = true;
         self.engine.preprocess = true;
@@ -578,23 +578,31 @@ impl<F: Frontend> Simulator<F> {
     /// Creates a simulator over any freshly instantiated
     /// [`Frontend`].
     pub fn with_frontend(frontend: F, config: SimConfig) -> Self {
+        // Preconstructed traces are preprocessed at first use, by the
+        // store (see `EngineConfig::preprocess`).
         let store: Box<dyn TraceStore> = match config.storage {
-            StorageKind::Split => Box::new(SplitStore::new(
-                config.trace_cache_entries,
-                if config.engine.enabled {
-                    config.engine.buffer_entries
-                } else {
-                    0
-                },
-            )),
+            StorageKind::Split => Box::new(
+                SplitStore::new(
+                    config.trace_cache_entries,
+                    if config.engine.enabled {
+                        config.engine.buffer_entries
+                    } else {
+                        0
+                    },
+                )
+                .preprocess_at_first_use(config.engine.preprocess),
+            ),
             StorageKind::Unified {
                 initial_pb_ways,
                 epoch_fetches,
-            } => Box::new(UnifiedStore::new(UnifiedConfig {
-                entries: config.trace_cache_entries + config.engine.buffer_entries,
-                initial_pb_ways,
-                epoch_fetches,
-            })),
+            } => Box::new(
+                UnifiedStore::new(UnifiedConfig {
+                    entries: config.trace_cache_entries + config.engine.buffer_entries,
+                    initial_pb_ways,
+                    epoch_fetches,
+                })
+                .preprocess_at_first_use(config.engine.preprocess),
+            ),
         };
         Simulator {
             stream: TraceStream::over(frontend),
@@ -1097,9 +1105,10 @@ impl<F: Frontend> Simulator<F> {
                 }
                 _ => {}
             }
-            self.seq += 1;
-            self.engine.observe_dispatch(ti.pc, &ti.op, self.seq);
         }
+        self.engine
+            .observe_dispatch_trace(dt.trace.instrs(), self.seq + 1);
+        self.seq += dt.trace.len() as u64;
         let timing = self
             .backend
             .dispatch(&dt, self.cycle, self.config.preprocess);

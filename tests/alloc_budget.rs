@@ -4,10 +4,12 @@
 //! Over a warmed-up measure window the simulator may allocate once
 //! per trace that leaves the stream (its shared instruction
 //! snapshot), once per trace the preconstruction engine builds, and
-//! once per preprocessing run (the shared annotations), and nothing
-//! else, also while faults are injected into the engine and the
-//! store. Anything that allocates per cycle, per constructor step, per
-//! region or per injected fault blows the budget.
+//! once per preprocessing run (the shared annotations: one per
+//! slow-path build and one per preconstructed trace at its first
+//! fetch), and nothing else, also while faults are injected into the
+//! engine and the store. Anything that allocates per cycle, per
+//! constructor step, per region or per injected fault blows the
+//! budget.
 //!
 //! `Simulator::new` must request less heap than a byte budget: a
 //! table that grows back to a per-instruction or 16-byte-per-entry
@@ -88,12 +90,14 @@ fn window(benchmark: Benchmark, config: SimConfig) -> (u64, u64, String) {
 
     let retired = after.retired_traces - before.retired_traces;
     let built = after.engine.traces_built - before.engine.traces_built;
-    let cached = after.engine.traces_already_cached - before.engine.traces_already_cached;
     // With preprocessing on, every slow-path build (one per miss) and
-    // every built trace not already cached is preprocessed once; one
-    // slow build may straddle each window edge.
+    // every preconstructed trace at its first fetch (one per buffer
+    // hit) is preprocessed once; one slow build may straddle each
+    // window edge.
     let preprocessed = if preprocess {
-        built - cached + (after.trace_cache_misses - before.trace_cache_misses) + 1
+        (after.precon_buffer_hits - before.precon_buffer_hits)
+            + (after.trace_cache_misses - before.trace_cache_misses)
+            + 1
     } else {
         0
     };
