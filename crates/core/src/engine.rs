@@ -210,8 +210,6 @@ struct Region {
     worklist: VecDeque<Addr>,
     /// Every start point ever queued in this region, sorted.
     seen: Vec<Addr>,
-    /// Line address a constructor is stalled on.
-    want_line: Option<Addr>,
     /// In-flight line fetch: (address, cycle it arrives).
     pending: Option<(Addr, u64)>,
 }
@@ -223,7 +221,6 @@ impl Region {
             prefetch: PrefetchCache::new(config.prefetch_capacity),
             worklist: VecDeque::with_capacity(worklist_bound(config)),
             seen: Vec::new(),
-            want_line: None,
             pending: None,
         }
     }
@@ -273,10 +270,10 @@ const MAX_MASK_SLOTS: usize = 64;
 /// Per-cycle bookkeeping touches only state that changed. Four `u64`
 /// masks index the region slots (bit `i` is slot `i`): `live`, `work`
 /// (live with a non-empty worklist), `in_flight` (live with a line
-/// fetch pending) and `wants` (live with a wanted line). `next_land`
-/// is the earliest pending arrival. A constructor blocked on a
-/// missing line is *parked*: until a fetch lands in its region it
-/// re-asserts its line instead of polling its prefetch cache.
+/// fetch pending) and `wants` (live with a parked constructor).
+/// `next_land` is the earliest pending arrival. A constructor blocked
+/// on a missing line is *parked* until that line lands in its region:
+/// it does not poll its prefetch cache.
 #[derive(Debug)]
 pub struct PreconEngine {
     config: EngineConfig,
@@ -453,7 +450,7 @@ impl PreconEngine {
             for (name, mask, holds) in [
                 ("work", self.work, !region.worklist.is_empty()),
                 ("in_flight", self.in_flight, region.pending.is_some()),
-                ("wants", self.wants, region.want_line.is_some()),
+                ("wants", self.wants, self.wanted_line(i).is_some()),
             ] {
                 if (mask & 1 << i != 0) != (live && holds) {
                     return Err(format!("region slot {i}: {name} mask bit out of sync"));
@@ -626,7 +623,6 @@ impl PreconEngine {
             region.prefetch.clear();
             region.worklist.clear();
             region.seen.clear();
-            region.want_line = None;
             region.pending = None;
             for k in 0..seeds {
                 region.queue(sp.addr + k * crate::trace::ALIGN_QUANTUM as u32);
@@ -640,7 +636,7 @@ impl PreconEngine {
     }
 
     /// Moves arrived line fetches into their prefetch caches and
-    /// wakes the landing region's parked constructors.
+    /// wakes the constructors parked on them.
     fn land_pending_fetches(&mut self, cycle: u64) {
         for i in bits(self.in_flight) {
             let region = &mut self.regions[i];
@@ -651,7 +647,7 @@ impl PreconEngine {
             region.pending = None;
             self.in_flight &= !(1 << i);
             if region.prefetch.insert_line(addr) {
-                self.unpark_region(i);
+                self.unpark_line(i, addr);
             } else {
                 self.retire_region(i, RegionEnd::FetchBound);
             }
@@ -667,22 +663,35 @@ impl PreconEngine {
             .unwrap_or(u64::MAX)
     }
 
-    /// Issues at most one I-cache line fetch for the newest region
-    /// that is stalled waiting for a line.
+    /// Issues at most one I-cache line fetch: the wanted line of the
+    /// newest region with no fetch in flight.
     fn issue_line_fetch(&mut self, cycle: u64, icache: &mut InstrCache) {
         let Some(slot) = self.newest(self.wants & !self.in_flight) else {
             return;
         };
+        let addr = self.wanted_line(slot).expect("wants bit set");
         let region = &mut self.regions[slot];
-        let addr = region.want_line.take().expect("wants bit set");
+        debug_assert!(
+            region.pending.is_none() && !region.prefetch.contains(addr),
+            "line of {addr:?} fetched while resident or in flight"
+        );
         let line_base = InstrCache::line_base(addr);
         let res = icache.fetch(line_base, AccessKind::Precon);
         let ready = cycle + res.latency as u64;
         region.pending = Some((line_base, ready));
-        self.wants &= !(1 << slot);
         self.in_flight |= 1 << slot;
         self.next_land = self.next_land.min(ready);
         self.stats.lines_fetched += 1;
+    }
+
+    /// The line region `slot` wants fetched, consulted only while
+    /// nothing is in flight to it: the line of its highest-numbered
+    /// parked constructor, which a polling engine's last blocked poll
+    /// names too. A parked constructor's line is never resident.
+    fn wanted_line(&self, slot: usize) -> Option<Addr> {
+        (0..self.parked.len())
+            .rev()
+            .find_map(|c| self.parked[c].filter(|_| self.assignment[c] == Some(slot)))
     }
 
     /// The newest (highest-id) region among the slots in `mask`.
@@ -692,10 +701,10 @@ impl PreconEngine {
 
     /// Runs every constructor for up to `decode_width` instructions.
     ///
-    /// A parked constructor does not poll: its prefetch cache has not
-    /// changed since it parked, so a poll would return the same
-    /// `NeedLine`. It re-asserts its line as its region's wanted
-    /// line at its turn, exactly as that poll would.
+    /// A parked constructor does not poll: its line is still missing,
+    /// so a poll would return the same `NeedLine`. At its turn it only
+    /// checks what that poll could find, a prefetch cache filled by
+    /// other lines, which ends the region as fetch bound.
     fn run_constructors(
         &mut self,
         program: &Program,
@@ -710,16 +719,11 @@ impl PreconEngine {
                 }
                 continue;
             }
-            if let Some(addr) = self.parked[c] {
-                // Known model defect, kept because fixing it moves
-                // counters: re-asserting `want_line` while the line
-                // is in flight makes the engine fetch the same,
-                // already-resident line a second time once the fill
-                // lands (ROADMAP, "One measurement window, by
-                // subtraction").
+            if self.parked[c].is_some() {
                 let slot = self.assignment[c].expect("parked constructors are assigned");
-                self.regions[slot].want_line = Some(addr);
-                self.wants |= 1 << slot;
+                if self.regions[slot].prefetch.is_full() {
+                    self.retire_region(slot, RegionEnd::FetchBound);
+                }
                 continue;
             }
             let mut budget = self.config.decode_width;
@@ -737,9 +741,8 @@ impl PreconEngine {
                         if region.prefetch.is_full() {
                             self.retire_region(slot, RegionEnd::FetchBound);
                         } else {
-                            region.want_line = Some(addr);
-                            self.wants |= 1 << slot;
                             self.parked[c] = Some(addr);
+                            self.wants |= 1 << slot;
                         }
                         break;
                     }
@@ -752,12 +755,16 @@ impl PreconEngine {
         }
     }
 
-    /// Wakes every constructor parked on region `slot`.
-    fn unpark_region(&mut self, slot: usize) {
+    /// Wakes the constructors of region `slot` parked on the line at
+    /// `line_base`.
+    fn unpark_line(&mut self, slot: usize, line_base: Addr) {
         for (p, a) in self.parked.iter_mut().zip(&self.assignment) {
-            if *a == Some(slot) {
+            if *a == Some(slot) && p.is_some_and(|addr| InstrCache::line_base(addr) == line_base) {
                 *p = None;
             }
+        }
+        if self.wanted_line(slot).is_none() {
+            self.wants &= !(1 << slot);
         }
     }
 
@@ -848,12 +855,12 @@ impl PreconEngine {
     /// a no-op and counts as not landed).
     ///
     /// Every perturbation stays inside the engine's structural
-    /// invariants: a dropped fill restores the region's `want_line`
-    /// so the fetch is simply re-issued, a killed constructor aborts
-    /// through the same path a caught-up region uses, and stack
-    /// pops/squashes only discard hint entries — none of this can
-    /// reach architectural state, which is the property the
-    /// differential oracle checks end to end.
+    /// invariants: a dropped fill's line is wanted again by the
+    /// constructors parked on it, so the fetch is simply re-issued, a
+    /// killed constructor aborts through the same path a caught-up
+    /// region uses, and stack pops/squashes only discard hint
+    /// entries — none of this can reach architectural state, which is
+    /// the property the differential oracle checks end to end.
     pub fn apply_fault(&mut self, fault: EngineFault) -> bool {
         if !self.config.enabled {
             return false;
@@ -863,11 +870,8 @@ impl PreconEngine {
                 let Some(slot) = self.pick_pending_region(salt) else {
                     return false;
                 };
-                let region = &mut self.regions[slot];
-                let (addr, _) = region.pending.take().expect("picked pending");
-                region.want_line = Some(addr);
+                self.regions[slot].pending = None;
                 self.in_flight &= !(1 << slot);
-                self.wants |= 1 << slot;
                 self.next_land = self.earliest_landing();
                 true
             }
@@ -895,8 +899,13 @@ impl PreconEngine {
                     return false;
                 };
                 self.constructors[c].abort();
-                self.assignment[c] = None;
+                let slot = self.assignment[c]
+                    .take()
+                    .expect("busy constructors are assigned");
                 self.parked[c] = None;
+                if self.wanted_line(slot).is_none() {
+                    self.wants &= !(1 << slot);
+                }
                 true
             }
             EngineFault::PopStartPoint => self.stack.pop().is_some(),
@@ -1309,9 +1318,10 @@ mod tests {
         let mut drops = 0;
         for cycle in 0..400 {
             e.tick(cycle, true, &p, &mut ic, &bim, &mut store);
-            // Hammer the drop fault every cycle for a while: each
-            // drop restores want_line, so fetches are re-issued and
-            // progress is delayed, never lost.
+            // Hammer the drop fault every cycle for a while: a
+            // dropped line is still wanted by the constructors parked
+            // on it, so fetches are re-issued and progress is
+            // delayed, never lost.
             if cycle < 30 && e.apply_fault(EngineFault::DropPrefetchFill { salt: cycle }) {
                 drops += 1;
             }

@@ -261,11 +261,6 @@ impl PreconBuffers {
     pub fn stats(&self) -> &PreconStats {
         &self.stats
     }
-
-    /// Resets counters (not contents).
-    pub fn reset_stats(&mut self) {
-        self.stats = PreconStats::default();
-    }
 }
 
 #[cfg(test)]

@@ -119,9 +119,6 @@ pub trait TraceStore: std::fmt::Debug {
     /// the adaptive store this varies over time).
     fn precon_capacity(&self) -> u32;
 
-    /// Resets counters (not contents).
-    fn reset_counters(&mut self);
-
     /// Checks the store's structural invariants (occupancy within
     /// capacity, counter conservation). Called by the differential
     /// oracle after every simulation chunk.
@@ -251,12 +248,6 @@ impl TraceStore for SplitStore {
 
     fn precon_capacity(&self) -> u32 {
         self.pb.capacity()
-    }
-
-    fn reset_counters(&mut self) {
-        self.counters = StoreCounters::default();
-        self.tc.reset_stats();
-        self.pb.reset_stats();
     }
 
     fn check_invariants(&self) -> Result<(), String> {
@@ -577,10 +568,6 @@ impl TraceStore for UnifiedStore {
 
     fn precon_capacity(&self) -> u32 {
         self.sets * self.pb_ways as u32
-    }
-
-    fn reset_counters(&mut self) {
-        self.counters = StoreCounters::default();
     }
 
     fn check_invariants(&self) -> Result<(), String> {

@@ -185,12 +185,6 @@ impl TraceCache {
         &self.stats
     }
 
-    /// Resets counters (not contents) — used to separate warm-up
-    /// from measurement.
-    pub fn reset_stats(&mut self) {
-        self.stats = TraceCacheStats::default();
-    }
-
     /// Number of resident traces.
     pub fn occupancy(&self) -> usize {
         self.slots.iter().filter(|s| s.is_some()).count()
@@ -281,17 +275,6 @@ mod tests {
         assert_eq!(tc.stats().evictions, 0);
         assert!(tc.contains(key));
         assert_eq!(tc.occupancy(), 1);
-    }
-
-    #[test]
-    fn reset_stats_keeps_contents() {
-        let mut tc = TraceCache::new(64);
-        let t = mk_trace(16, true);
-        let key = t.key();
-        tc.fill(t);
-        tc.reset_stats();
-        assert_eq!(tc.stats().fills, 0);
-        assert!(tc.contains(key));
     }
 
     #[test]

@@ -5,7 +5,11 @@
 //! bookkeeping was indexed: every tick scans every region slot to
 //! activate, land, issue and retire, and every constructor polls its
 //! prefetch cache each cycle, even when nothing it waits on has
-//! changed. Both engines are driven with the same random programs,
+//! changed. A region's wanted line is computed afresh from the
+//! constructors whose last poll found their line missing: the line of
+//! the highest-numbered one whose line is neither resident nor in
+//! flight. So no fetch is ever for a line the region already has or
+//! awaits, and the reference asserts that at every fetch. Both engines are driven with the same random programs,
 //! branch biases, dispatch, retire and squash streams, slow-path idle
 //! patterns, store traffic and injected faults. After every tick the
 //! engine counters, the activity log, the start stack, the store and
@@ -36,7 +40,6 @@ struct RefRegion {
     prefetch: PrefetchCache,
     worklist: VecDeque<Addr>,
     seen: Vec<Addr>,
-    want_line: Option<Addr>,
     pending: Option<(Addr, u64)>,
 }
 
@@ -72,6 +75,8 @@ struct RefEngine {
     regions: Vec<RefRegion>,
     constructors: Vec<TraceConstructor>,
     assignment: Vec<Option<usize>>,
+    /// The missing address each constructor's last poll returned.
+    blocked: Vec<Option<Addr>>,
     stalls: Vec<u32>,
     next_region_id: u64,
     stats: EngineStats,
@@ -90,7 +95,6 @@ impl RefEngine {
                     prefetch: PrefetchCache::new(config.prefetch_capacity),
                     worklist: VecDeque::new(),
                     seen: Vec::new(),
-                    want_line: None,
                     pending: None,
                 })
                 .collect(),
@@ -98,6 +102,7 @@ impl RefEngine {
                 .map(|_| TraceConstructor::new(config.decision_depth))
                 .collect(),
             assignment: vec![None; config.constructors],
+            blocked: vec![None; config.constructors],
             stalls: vec![0; config.constructors],
             next_region_id: 1,
             stats: EngineStats::default(),
@@ -194,7 +199,6 @@ impl RefEngine {
             slot.prefetch.clear();
             slot.worklist.clear();
             slot.seen.clear();
-            slot.want_line = None;
             slot.pending = None;
             for k in 0..seeds {
                 slot.queue(sp.addr + k * ALIGN_QUANTUM as u32);
@@ -221,14 +225,34 @@ impl RefEngine {
         }
     }
 
+    /// The highest-numbered constructor of region `slot` blocked on a
+    /// line that is neither resident nor in flight names the line.
+    fn wanted_line(&self, slot: usize) -> Option<Addr> {
+        let region = &self.regions[slot];
+        let in_flight = region.pending.map(|(line, _)| line);
+        (0..self.constructors.len()).rev().find_map(|c| {
+            self.blocked[c].filter(|&addr| {
+                self.assignment[c] == Some(slot)
+                    && !region.prefetch.contains(addr)
+                    && Some(InstrCache::line_base(addr)) != in_flight
+            })
+        })
+    }
+
     fn issue_line_fetch(&mut self, cycle: u64, icache: &mut InstrCache) {
-        let candidate = self
-            .regions
-            .iter_mut()
-            .filter(|r| r.live && r.pending.is_none() && r.want_line.is_some())
-            .max_by_key(|r| r.id);
-        if let Some(region) = candidate {
-            let addr = region.want_line.take().unwrap();
+        let candidate = (0..self.regions.len())
+            .filter(|&i| {
+                let r = &self.regions[i];
+                r.live && r.pending.is_none() && self.wanted_line(i).is_some()
+            })
+            .max_by_key(|&i| self.regions[i].id);
+        if let Some(slot) = candidate {
+            let addr = self.wanted_line(slot).unwrap();
+            let region = &mut self.regions[slot];
+            assert!(
+                region.pending.is_none() && !region.prefetch.contains(addr),
+                "fetching a line resident in, or in flight to, its region"
+            );
             let line_base = InstrCache::line_base(addr);
             let res = icache.fetch(line_base, AccessKind::Precon);
             region.pending = Some((line_base, cycle + res.latency as u64));
@@ -247,6 +271,7 @@ impl RefEngine {
                 self.stalls[c] -= 1;
                 continue;
             }
+            self.blocked[c] = None;
             let mut budget = self.config.decode_width;
             while budget > 0 {
                 if self.constructors[c].is_idle() && !self.assign_work(c) {
@@ -266,7 +291,7 @@ impl RefEngine {
                         if region.prefetch.is_full() {
                             self.retire_region(slot, RegionEnd::FetchBound);
                         } else {
-                            region.want_line = Some(addr);
+                            self.blocked[c] = Some(addr);
                         }
                         break;
                     }
@@ -342,7 +367,6 @@ impl RefEngine {
                 region.live
                     && region.worklist.is_empty()
                     && region.pending.is_none()
-                    && region.want_line.is_none()
                     && !self
                         .assignment
                         .iter()
@@ -364,9 +388,7 @@ impl RefEngine {
                 let Some(slot) = self.pick_pending_region(salt) else {
                     return false;
                 };
-                let region = &mut self.regions[slot];
-                let (addr, _) = region.pending.take().unwrap();
-                region.want_line = Some(addr);
+                self.regions[slot].pending = None;
                 true
             }
             EngineFault::DelayPrefetchFill { salt, extra } => {
@@ -390,6 +412,7 @@ impl RefEngine {
                 };
                 self.constructors[c].abort();
                 self.assignment[c] = None;
+                self.blocked[c] = None;
                 true
             }
             EngineFault::PopStartPoint => self.stack.pop().is_some(),
@@ -433,6 +456,7 @@ impl RefEngine {
             if *a == Some(slot) {
                 self.constructors[c].abort();
                 *a = None;
+                self.blocked[c] = None;
             }
         }
     }

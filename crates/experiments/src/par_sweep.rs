@@ -296,8 +296,8 @@ impl CellBudget {
     }
 }
 
-/// Runs one cell: warm-up, statistics reset and measurement under
-/// `budget`'s cycle watchdog. A wedged cell returns
+/// Runs one cell: warm-up, then a measured window, under `budget`'s
+/// cycle watchdog. A wedged cell returns
 /// [`CellError::Timeout`]; callers fan cells out with [`par_try_map`],
 /// which also contains a panicking cell to a [`CellError::Panic`].
 ///

@@ -12,7 +12,7 @@ use tpc_workloads::{Benchmark, WorkloadBuilder};
 /// warm-up. `RunParams::quick` is used by smoke tests and Criterion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunParams {
-    /// Instructions executed before counters reset.
+    /// Instructions executed before the measured window.
     pub warmup: u64,
     /// Instructions measured.
     pub measure: u64,

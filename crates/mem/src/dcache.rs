@@ -105,11 +105,6 @@ impl DataCache {
     pub fn stats(&self) -> &DataCacheStats {
         &self.stats
     }
-
-    /// Resets counters (not contents).
-    pub fn reset_stats(&mut self) {
-        self.stats = DataCacheStats::default();
-    }
 }
 
 impl Default for DataCache {

@@ -185,12 +185,6 @@ impl InstrCache {
     pub fn stats(&self) -> &IcacheStats {
         &self.stats
     }
-
-    /// Resets counters (not contents) — used when a simulation
-    /// separates warm-up from measurement.
-    pub fn reset_stats(&mut self) {
-        self.stats = IcacheStats::default();
-    }
 }
 
 #[cfg(test)]
@@ -267,15 +261,6 @@ mod tests {
     fn line_base_rounds_down() {
         assert_eq!(InstrCache::line_base(Addr::new(37)), Addr::new(32));
         assert_eq!(InstrCache::line_base(Addr::new(32)), Addr::new(32));
-    }
-
-    #[test]
-    fn reset_stats_keeps_contents() {
-        let mut ic = small();
-        ic.fetch(Addr::new(0), AccessKind::Demand);
-        ic.reset_stats();
-        assert_eq!(ic.stats().demand_accesses, 0);
-        assert!(ic.contains(Addr::new(0)));
     }
 
     #[test]

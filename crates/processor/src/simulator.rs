@@ -315,6 +315,24 @@ impl SimStats {
         w
     }
 
+    /// The counts between two snapshots of one run, `after` minus
+    /// `before` word by word: every word only grows, so this is what
+    /// counters zeroed at `before` would read at `after`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a word of `before` exceeds the same word of `after`.
+    pub fn delta(after: &SimStats, before: &SimStats) -> SimStats {
+        let mut window = after.clone();
+        let mut before = before.to_words().into_iter();
+        window.visit_words(&mut |w| {
+            *w = w
+                .checked_sub(before.next().expect("WORDS words each"))
+                .expect("`before` is an earlier snapshot of the same run");
+        });
+        window
+    }
+
     /// Decodes a [`SimStats::to_words`] vector; `None` on length
     /// mismatch (a truncated or foreign checkpoint line).
     pub fn from_words(words: &[u64]) -> Option<SimStats> {
@@ -489,6 +507,31 @@ impl SimEvent {
     }
 }
 
+/// The pipeline event log (see [`Simulator::events`]): a ring of the
+/// newest [`EventLog::CAPACITY`] events.
+#[derive(Debug, Clone, Default)]
+pub struct EventLog {
+    /// The kept events, oldest first.
+    pub events: VecDeque<SimEvent>,
+    /// Older events dropped to keep the ring within its capacity.
+    pub dropped: u64,
+}
+
+impl EventLog {
+    /// Events a simulator's log keeps.
+    pub const CAPACITY: usize = 1_000_000;
+
+    /// Appends `event`, first dropping the oldest if `capacity` are
+    /// kept.
+    fn push(&mut self, event: SimEvent, capacity: usize) {
+        if self.events.len() == capacity {
+            self.events.pop_front();
+            self.dropped += 1;
+        }
+        self.events.push_back(event);
+    }
+}
+
 /// What the fetch stage did in one cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum FrontendActivity {
@@ -555,15 +598,12 @@ pub struct Simulator<F: Frontend> {
     /// Fault-injection runtime state (`None` when no plan attached).
     faults: Option<FaultState>,
     stats: SimStats,
-    events: Vec<SimEvent>,
+    events: EventLog,
     /// Retired-instruction log (empty unless
     /// [`SimConfig::record_retirement`]).
     retirement: Vec<RetiredInstr>,
     /// Pending supply source for the next dispatch's event record.
     pending_source: SupplySource,
-    /// Traces fetched before the last [`Simulator::reset_stats`] but
-    /// not yet retired then: they may retire inside the new window.
-    retire_slack: u64,
 }
 
 impl<'a> Simulator<Executor<'a>> {
@@ -624,10 +664,9 @@ impl<F: Frontend> Simulator<F> {
             seq: 0,
             faults: config.faults.map(FaultState::new),
             stats: SimStats::default(),
-            events: Vec::new(),
+            events: EventLog::default(),
             retirement: Vec::new(),
             pending_source: SupplySource::TraceCache,
-            retire_slack: 0,
             config,
         }
     }
@@ -638,18 +677,15 @@ impl<F: Frontend> Simulator<F> {
     }
 
     /// The recorded pipeline events (empty unless
-    /// [`SimConfig::record_events`] is set). Bounded to the most
-    /// recent million events.
-    pub fn events(&self) -> &[SimEvent] {
+    /// [`SimConfig::record_events`] is set), with the count of older
+    /// ones the ring dropped.
+    pub fn events(&self) -> &EventLog {
         &self.events
     }
 
     fn record(&mut self, event: SimEvent) {
         if self.config.record_events {
-            if self.events.len() >= 1_000_000 {
-                self.events.drain(..500_000);
-            }
-            self.events.push(event);
+            self.events.push(event, EventLog::CAPACITY);
         }
     }
 
@@ -673,10 +709,9 @@ impl<F: Frontend> Simulator<F> {
 
     /// Checks the simulator-wide conservation invariants the
     /// differential oracle enforces after every chunk: the fetch
-    /// conservation law, retirement accounting (exact, up to the
-    /// traces in flight at the last [`Simulator::reset_stats`]), and
-    /// the storage and engine structural invariants (occupancy ≤
-    /// capacity, start stack within its 16+4 bound).
+    /// conservation law, retirement accounting (exact: counters never
+    /// reset), and the storage and engine structural invariants
+    /// (occupancy ≤ capacity, start stack within its 16+4 bound).
     pub fn check_invariants(&self) -> Result<(), String> {
         let s = &self.stats;
         if s.trace_fetches != s.trace_cache_hits + s.precon_buffer_hits + s.trace_cache_misses {
@@ -685,10 +720,10 @@ impl<F: Frontend> Simulator<F> {
                 s.trace_fetches, s.trace_cache_hits, s.precon_buffer_hits, s.trace_cache_misses
             ));
         }
-        if s.retired_traces > s.trace_fetches + self.retire_slack {
+        if s.retired_traces > s.trace_fetches {
             return Err(format!(
-                "retired {} traces but only fetched {} (+{} in flight at the stats reset)",
-                s.retired_traces, s.trace_fetches, self.retire_slack
+                "retired {} traces but only fetched {}",
+                s.retired_traces, s.trace_fetches
             ));
         }
         self.store.check_invariants()?;
@@ -723,9 +758,10 @@ impl<F: Frontend> Simulator<F> {
             .expect("an unbounded cycle budget never runs out")
     }
 
-    /// Runs `warmup` instructions, resets all statistics, then runs
-    /// and measures `measure` instructions — the standard way to
-    /// exclude cold-start transients.
+    /// Runs `warmup` instructions, then runs and measures `measure`
+    /// instructions — the standard way to exclude cold-start
+    /// transients. Returns the [`SimStats::delta`] of the snapshots
+    /// after each phase.
     pub fn run_with_warmup(&mut self, warmup: u64, measure: u64) -> SimStats {
         self.run_with_warmup_budgeted(warmup, measure, u64::MAX)
             .expect("an unbounded cycle budget never runs out")
@@ -740,9 +776,9 @@ impl<F: Frontend> Simulator<F> {
         measure: u64,
         max_cycles: u64,
     ) -> Result<SimStats, BudgetExceeded> {
-        self.run_budgeted(warmup, max_cycles)?;
-        self.reset_stats();
-        self.run_budgeted(measure, max_cycles)
+        let warm = self.run_budgeted(warmup, max_cycles)?;
+        let after = self.run_budgeted(measure, max_cycles)?;
+        Ok(SimStats::delta(&after, &warm))
     }
 
     /// Like [`Simulator::run`], but gives up once the *absolute*
@@ -768,7 +804,8 @@ impl<F: Frontend> Simulator<F> {
         Ok(self.stats())
     }
 
-    /// Snapshot of the current statistics.
+    /// Snapshot of every counter since construction; counters never
+    /// reset, so a window is the [`SimStats::delta`] of two snapshots.
     pub fn stats(&self) -> SimStats {
         let mut s = self.stats.clone();
         s.icache = *self.icache.stats();
@@ -779,22 +816,6 @@ impl<F: Frontend> Simulator<F> {
             s.faults = *fs.stats();
         }
         s
-    }
-
-    /// Zeroes the simulator's own, I-cache and store counters
-    /// (contents of caches and predictors are preserved).
-    ///
-    /// The engine, D-cache and fault counters are neither reset nor
-    /// snapshot-subtracted: they keep counting from construction, so
-    /// after a reset [`Simulator::stats`] reports them over the whole
-    /// run (ROADMAP, "One measurement window, by subtraction"). The
-    /// paper's metrics (Figure 5, Tables 1–3) all come from counters
-    /// that do reset.
-    pub fn reset_stats(&mut self) {
-        self.retire_slack = self.inflight.len() as u64 + u64::from(self.slow_build.is_some());
-        self.stats = SimStats::default();
-        self.icache.reset_stats();
-        self.store.reset_counters();
     }
 
     /// Advances one cycle.
@@ -983,6 +1004,17 @@ impl<F: Frontend> Simulator<F> {
             if let Some(info) = fetched.preprocess {
                 dt.trace.set_preprocess_arc(info);
             }
+            // A supplied trace updates the RAS here; a slow-path trace
+            // does it once, while it is built (`begin_slow_build`).
+            for ti in dt.trace.instrs() {
+                match ti.op.class() {
+                    OpClass::Call => self.ras.push(ti.pc.next()),
+                    OpClass::Return => {
+                        let _ = self.ras.pop();
+                    }
+                    _ => {}
+                }
+            }
             self.dispatch(dt);
             return FrontendActivity::Dispatched;
         }
@@ -1092,20 +1124,6 @@ impl<F: Frontend> Simulator<F> {
     /// engine's dispatch observer.
     #[warn(clippy::cast_possible_truncation)]
     fn dispatch(&mut self, dt: DynTrace) {
-        // RAS maintenance for every dispatched trace. A slow-path
-        // build already pushed its calls and popped its returns in
-        // `begin_slow_build`, so its trace updates the RAS twice — a
-        // known model bug. Fixing it moves counters, so it is left for
-        // the ROADMAP's "One measurement window, by subtraction" item.
-        for ti in dt.trace.instrs() {
-            match ti.op.class() {
-                OpClass::Call => self.ras.push(ti.pc.next()),
-                OpClass::Return => {
-                    let _ = self.ras.pop();
-                }
-                _ => {}
-            }
-        }
         self.engine
             .observe_dispatch_trace(dt.trace.instrs(), self.seq + 1);
         self.seq += dt.trace.len() as u64;
@@ -1226,33 +1244,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_reset_cleans_counters() {
-        let p = WorkloadBuilder::new(Benchmark::Compress).seed(1).build();
-        let mut sim = Simulator::new(&p, SimConfig::default());
-        sim.run(10_000);
-        sim.reset_stats();
-        let s = sim.stats();
-        assert_eq!(s.retired_instructions, 0);
-        assert_eq!(s.trace_fetches, 0);
-    }
-
-    #[test]
-    fn invariants_hold_across_a_stats_reset() {
-        // Traces in flight at the reset retire inside the new window
-        // although they were fetched before it.
-        let p = WorkloadBuilder::new(Benchmark::Gcc).seed(1).build();
-        for cfg in [SimConfig::baseline(256), SimConfig::with_precon(128, 128)] {
-            let mut sim = Simulator::new(&p, cfg);
-            sim.run(20_000);
-            sim.reset_stats();
-            for _ in 0..5_000 {
-                sim.step();
-                sim.check_invariants().expect("invariants after reset");
-            }
-        }
-    }
-
-    #[test]
     fn determinism_across_runs() {
         let p = WorkloadBuilder::new(Benchmark::M88ksim).seed(2).build();
         let a = Simulator::new(&p, SimConfig::default()).run(30_000);
@@ -1318,7 +1309,7 @@ mod tests {
         cfg.record_events = true;
         let mut sim = Simulator::new(&p, cfg);
         sim.run(20_000);
-        let events = sim.events();
+        let events = &sim.events().events;
         assert!(!events.is_empty());
         let dispatches = events
             .iter()
@@ -1334,9 +1325,10 @@ mod tests {
             "a trace retires only after dispatching"
         );
         // Events are in non-decreasing cycle order.
-        for w in events.windows(2) {
-            assert!(w[0].cycle() <= w[1].cycle());
+        for (a, b) in events.iter().zip(events.iter().skip(1)) {
+            assert!(a.cycle() <= b.cycle());
         }
+        assert_eq!(sim.events().dropped, 0);
         // All three supply sources appear on this config.
         let sources: Vec<_> = events
             .iter()
@@ -1354,7 +1346,18 @@ mod tests {
         let p = WorkloadBuilder::new(Benchmark::Compress).seed(1).build();
         let mut sim = Simulator::new(&p, SimConfig::default());
         sim.run(5_000);
-        assert!(sim.events().is_empty());
+        assert!(sim.events().events.is_empty());
+    }
+
+    #[test]
+    fn event_ring_keeps_the_newest_and_counts_the_dropped() {
+        let mut log = EventLog::default();
+        for cycle in 0..5 {
+            let until = cycle + 1;
+            log.push(SimEvent::MispredictStall { cycle, until }, 3);
+        }
+        let kept: Vec<u64> = log.events.iter().map(SimEvent::cycle).collect();
+        assert_eq!((kept, log.dropped), (vec![2, 3, 4], 2));
     }
 
     #[test]

@@ -28,9 +28,8 @@ fn main() {
 
     println!("{benchmark}: last {n_events} pipeline events\n");
     println!("{:>10}  {:18} detail", "cycle", "event");
-    let events = sim.events();
-    let window = &events[events.len().saturating_sub(n_events)..];
-    for e in window {
+    let events = &sim.events().events;
+    for e in events.iter().skip(events.len().saturating_sub(n_events)) {
         match *e {
             SimEvent::Dispatch {
                 cycle,

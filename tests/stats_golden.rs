@@ -93,7 +93,7 @@ fn run_cell(benchmark: Benchmark, mut config: SimConfig) -> (Vec<u64>, u64, u64,
         fnv64(&mut retire, &[u8::from(r.taken)]);
     }
     let mut events = 0xcbf2_9ce4_8422_2325;
-    for e in sim.events() {
+    for e in &sim.events().events {
         fnv64(&mut events, format!("{e:?}").as_bytes());
     }
     let activity = activity_digest(&sim.take_engine_activity());
@@ -116,12 +116,12 @@ const GOLDEN: &[Golden] = &[
         "Gcc",
         "baseline",
         0x1b18bd1eb1757ed3,
-        0x0ead8d736ac7f9a6,
+        0xb0a0ebab019823ca,
         0xcbf29ce484222325,
         [
-            46744, 60010, 5473, 5469, 3631, 0, 1838, 21979, 2452, 4262, 1818, 982, 0, 4262, 444, 0,
-            0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5469, 3631, 0, 1838, 0, 0, 3631, 17288, 18964,
-            6861, 16239, 6846, 2717, 361, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            46398, 60010, 5473, 5469, 3631, 0, 1838, 21979, 2452, 4262, 1818, 898, 0, 4262, 444, 0,
+            0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5469, 3631, 0, 1838, 0, 0, 3631, 16868, 18981,
+            6918, 12364, 4884, 1854, 329, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
             0,
         ],
     ),
@@ -129,12 +129,12 @@ const GOLDEN: &[Golden] = &[
         "Gcc",
         "precon",
         0x1b18bd1eb1757ed3,
-        0x0c4bd77784df7f13,
-        0xf2245ebc2ec07bd6,
+        0xec7a983e974f1067,
+        0x7162f1f3d6429950,
         [
-            40427, 60010, 5473, 5469, 2975, 1212, 1282, 15757, 454, 3011, 1818, 671, 0, 3011, 90,
-            15257, 355, 2192, 3335, 1795, 1318, 6, 215, 16537, 2848, 111, 19892, 5905, 5469, 2975,
-            1212, 1282, 9822, 157, 4187, 9830, 19344, 7066, 16239, 6846, 2717, 361, 0, 0, 0, 0, 0,
+            39901, 60010, 5473, 5469, 2975, 1267, 1227, 15173, 400, 2893, 1818, 585, 0, 2893, 84,
+            8914, 361, 2120, 2598, 1429, 1009, 5, 156, 13406, 2445, 64, 8914, 4454, 5469, 2975,
+            1267, 1227, 10805, 156, 4242, 9112, 19349, 7198, 12364, 4884, 1854, 329, 0, 0, 0, 0, 0,
             0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
         ],
     ),
@@ -142,12 +142,12 @@ const GOLDEN: &[Golden] = &[
         "Gcc",
         "preprocess",
         0x1b18bd1eb1757ed3,
-        0x95598b36e7287971,
+        0x7b18682bce9a59ce,
         0xcbf29ce484222325,
         [
-            45369, 60010, 5473, 5469, 3631, 0, 1838, 21979, 2452, 4262, 1818, 985, 0, 4262, 444, 0,
-            0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5469, 3631, 0, 1838, 0, 0, 3631, 17303, 18590,
-            5845, 16239, 6846, 2717, 361, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            45004, 60010, 5473, 5469, 3631, 0, 1838, 21979, 2452, 4262, 1818, 901, 0, 4262, 444, 0,
+            0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5469, 3631, 0, 1838, 0, 0, 3631, 16883, 18597,
+            5893, 12364, 4884, 1854, 329, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
             0,
         ],
     ),
@@ -155,12 +155,12 @@ const GOLDEN: &[Golden] = &[
         "Gcc",
         "combined",
         0x1b18bd1eb1757ed3,
-        0x34b8a0aea2defffc,
-        0xdeeb4cfd99db7452,
+        0xe9f705fb98cbc42a,
+        0x818752a3441644ae,
         [
-            39080, 60010, 5473, 5469, 2975, 1175, 1319, 16171, 449, 3095, 1818, 694, 0, 3095, 91,
-            14700, 354, 2241, 3311, 1749, 1351, 9, 201, 16002, 2793, 106, 19301, 5905, 5469, 2975,
-            1175, 1319, 9465, 143, 4150, 10113, 18822, 5995, 16239, 6846, 2717, 361, 0, 0, 0, 0, 0,
+            38517, 60010, 5473, 5469, 2975, 1233, 1261, 15499, 440, 2971, 1818, 599, 0, 2971, 89,
+            8741, 356, 2154, 2592, 1383, 1053, 7, 150, 12939, 2370, 64, 8741, 4454, 5469, 2975,
+            1233, 1261, 10419, 150, 4208, 9378, 18808, 6123, 12364, 4884, 1854, 329, 0, 0, 0, 0, 0,
             0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
         ],
     ),
@@ -168,12 +168,12 @@ const GOLDEN: &[Golden] = &[
         "Gcc",
         "unified",
         0x1b18bd1eb1757ed3,
-        0x3cd37d44b4961554,
-        0x246efc8bcaf0de23,
+        0xfc4b3328b6aeed18,
+        0x43a3d85da9f22553,
         [
-            40479, 60010, 5473, 5469, 3161, 1136, 1172, 14222, 459, 2736, 1818, 681, 0, 2736, 95,
-            15066, 350, 1969, 3401, 1709, 1278, 5, 408, 14487, 2563, 27, 19542, 5905, 5469, 3161,
-            1136, 1172, 8962, 271, 4297, 9435, 19316, 7431, 16239, 6846, 2717, 361, 0, 0, 0, 0, 0,
+            39918, 60010, 5473, 5469, 3151, 1190, 1128, 13759, 411, 2650, 1818, 590, 0, 2650, 87,
+            8867, 358, 1931, 2632, 1377, 983, 4, 268, 12275, 2141, 36, 8867, 4454, 5469, 3151,
+            1190, 1128, 9866, 268, 4341, 8726, 19285, 7566, 12364, 4884, 1854, 329, 0, 0, 0, 0, 0,
             0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
         ],
     ),
@@ -185,7 +185,7 @@ const GOLDEN: &[Golden] = &[
         0xcbf29ce484222325,
         [
             15285, 60001, 7608, 7608, 7582, 0, 26, 324, 0, 55, 218, 8, 0, 55, 0, 0, 0, 0, 0, 0, 0,
-            0, 0, 0, 0, 0, 0, 0, 7608, 7582, 0, 26, 0, 0, 7582, 147, 1460, 6096, 13308, 8917, 216,
+            0, 0, 0, 0, 0, 0, 0, 7608, 7582, 0, 26, 0, 0, 7582, 147, 1460, 6096, 9974, 6740, 103,
             0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
         ],
     ),
@@ -194,11 +194,11 @@ const GOLDEN: &[Golden] = &[
         "precon",
         0xfa7ddfd159b2e72b,
         0x4835485d3381c3be,
-        0x88220a6f456cfb60,
+        0x576b968f7b946fa9,
         [
-            15197, 60001, 7608, 7608, 7532, 44, 32, 428, 0, 51, 218, 2, 0, 51, 0, 4028, 0, 41, 935,
-            904, 31, 0, 0, 3642, 1508, 0, 5372, 9935, 7608, 7532, 44, 32, 1447, 0, 7576, 125, 1448,
-            6048, 13308, 8917, 216, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            15197, 60001, 7608, 7608, 7532, 44, 32, 428, 0, 51, 218, 2, 0, 51, 0, 2113, 0, 41, 664,
+            642, 22, 0, 0, 2629, 1194, 0, 2113, 7454, 7608, 7532, 44, 32, 1435, 0, 7576, 125, 1448,
+            6048, 9974, 6740, 103, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
         ],
     ),
     (
@@ -209,7 +209,7 @@ const GOLDEN: &[Golden] = &[
         0xcbf29ce484222325,
         [
             14701, 60001, 7608, 7608, 7582, 0, 26, 324, 0, 55, 218, 8, 0, 55, 0, 0, 0, 0, 0, 0, 0,
-            0, 0, 0, 0, 0, 0, 0, 7608, 7582, 0, 26, 0, 0, 7582, 147, 1589, 5383, 13308, 8917, 216,
+            0, 0, 0, 0, 0, 0, 0, 7608, 7582, 0, 26, 0, 0, 7582, 147, 1589, 5383, 9974, 6740, 103,
             0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
         ],
     ),
@@ -218,37 +218,37 @@ const GOLDEN: &[Golden] = &[
         "combined",
         0xfa7ddfd159b2e72b,
         0xfae8459301b7075a,
-        0xb1c37816de078ab3,
+        0xea3f6ed7f29e18e7,
         [
-            14637, 60001, 7608, 7608, 7532, 44, 32, 428, 0, 51, 218, 2, 0, 51, 0, 4151, 0, 41, 975,
-            941, 34, 0, 0, 3687, 1526, 0, 5515, 9935, 7608, 7532, 44, 32, 1495, 0, 7576, 125, 1585,
-            5351, 13308, 8917, 216, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            14637, 60001, 7608, 7608, 7532, 44, 32, 428, 0, 51, 218, 2, 0, 51, 0, 2118, 0, 41, 668,
+            646, 22, 0, 0, 2638, 1196, 0, 2118, 7454, 7608, 7532, 44, 32, 1442, 0, 7576, 125, 1585,
+            5351, 9974, 6740, 103, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
         ],
     ),
     (
         "Compress",
         "unified",
         0xfa7ddfd159b2e72b,
-        0x429673f8ebab7796,
-        0x612f63baaab762df,
+        0x0417741d3bc82db5,
+        0x4d1c0c62acae4475,
         [
-            15180, 60001, 7608, 7608, 7578, 26, 4, 50, 0, 11, 218, 1, 0, 11, 0, 4024, 0, 1, 935,
-            866, 29, 0, 40, 3439, 1336, 0, 5366, 9935, 7608, 7578, 26, 4, 1391, 12, 7604, 24, 1468,
-            6084, 13308, 8917, 216, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            15180, 60001, 7608, 7608, 7578, 26, 4, 50, 0, 11, 218, 1, 0, 11, 0, 2119, 0, 1, 667,
+            634, 22, 0, 11, 2590, 1183, 0, 2119, 7454, 7608, 7578, 26, 4, 1396, 11, 7604, 24, 1468,
+            6084, 9974, 6740, 103, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
         ],
     ),
     (
         "Gcc",
         "faulted",
         0x1b18bd1eb1757ed3,
-        0x855e70721b945709,
-        0x6e180d484cad6847,
+        0x93cea6e9446aab90,
+        0x9ad2b149019af96a,
         [
-            44443, 60010, 5473, 5469, 2975, 564, 1930, 23421, 1050, 4509, 1818, 1051, 0, 4509, 191,
-            11608, 253, 2411, 3347, 2042, 1251, 1, 53, 8469, 1552, 17, 15024, 5905, 5469, 2975,
-            564, 1930, 5182, 44, 3539, 15534, 19063, 6307, 16239, 6846, 2717, 361, 22343, 10637,
-            2479, 2530, 2450, 2569, 2533, 2451, 2415, 2442, 2474, 2479, 801, 762, 1203, 1246, 2360,
-            1545, 120, 121,
+            43631, 60010, 5473, 5469, 2975, 703, 1791, 21778, 1105, 4198, 1818, 875, 0, 4198, 206,
+            6818, 236, 2008, 2528, 1592, 886, 2, 48, 7650, 1414, 2, 6818, 4454, 5469, 2975, 703,
+            1791, 6188, 48, 3678, 14215, 19084, 6654, 12364, 4884, 1854, 329, 15522, 7137, 1726,
+            1730, 1718, 1787, 1744, 1721, 1688, 1693, 1715, 1726, 376, 381, 864, 805, 1721, 1150,
+            60, 54,
         ],
     ),
 ];
@@ -256,7 +256,7 @@ const GOLDEN: &[Golden] = &[
 /// Every pin of `GOLDEN`, append-only: `(MODEL_VERSION, digest of
 /// GOLDEN)`. A re-pin appends a row under a bumped [`MODEL_VERSION`],
 /// so checkpoints written by the old model stop matching.
-const PINS: &[(u32, u64)] = &[(1, 0xab0b3a8b191641ab)];
+const PINS: &[(u32, u64)] = &[(1, 0xab0b3a8b191641ab), (2, 0x43ef9756916c442e)];
 
 /// FNV-1a digest of the whole `GOLDEN` table.
 fn golden_digest() -> u64 {
@@ -312,4 +312,66 @@ fn stats_and_logs_match_golden() {
         mismatches.is_empty(),
         "golden mismatch in {mismatches:?}; this run's table:\n{actual}"
     );
+}
+
+/// The words of the counters a warmup once leaked into the window:
+/// the engine's, the D-cache's and the faults' (every other word 0).
+fn leaky_words(s: &SimStats) -> Vec<u64> {
+    SimStats {
+        engine: s.engine,
+        dcache: s.dcache,
+        faults: s.faults,
+        ..SimStats::default()
+    }
+    .to_words()
+}
+
+/// A warmup+measure result counts the measured window only: every
+/// word equals the whole-run word minus the warmup snapshot, and the
+/// whole-run invariants hold, with no slack, after both phases.
+#[test]
+fn warmup_window_is_the_difference_of_two_snapshots() {
+    for (name, benchmark, config) in cells() {
+        let program = WorkloadBuilder::new(benchmark).seed(1).build();
+        let at = format!("{benchmark:?}/{name}");
+        let mut windowed = Simulator::new(&program, config.clone());
+        let window = windowed.run_with_warmup(WARMUP, MEASURE);
+        windowed.check_invariants().expect(&at);
+        let mut whole = Simulator::new(&program, config);
+        let warm = whole.run(WARMUP);
+        whole.check_invariants().expect(&at);
+        let all = whole.run(MEASURE);
+        whole.check_invariants().expect(&at);
+        let difference: Vec<u64> = all
+            .to_words()
+            .iter()
+            .zip(warm.to_words())
+            .map(|(a, w)| a - w)
+            .collect();
+        assert_eq!(window.to_words(), difference, "{at}");
+        // Each of those words that counted anything in the warmup is
+        // strictly below its whole-run value.
+        let warm_leaky = leaky_words(&warm);
+        assert!(warm_leaky.iter().any(|&w| w > 0), "{at}");
+        for ((w, a), b) in leaky_words(&window)
+            .iter()
+            .zip(leaky_words(&all))
+            .zip(warm_leaky)
+        {
+            assert!(
+                b == 0 || *w < a,
+                "{at}: a window word {w} of {a} counts the warmup"
+            );
+        }
+        if all.faults.injected > 0 {
+            assert_eq!(
+                (window.faults.injected, window.faults.landed),
+                (
+                    all.faults.injected - warm.faults.injected,
+                    all.faults.landed - warm.faults.landed
+                ),
+                "{at}"
+            );
+        }
+    }
 }
