@@ -20,10 +20,10 @@ use crate::faults::EngineFault;
 use crate::start_stack::{StartPointStack, StartReason};
 use crate::storage::TraceStore;
 use crate::trace::{Trace, TraceInstr};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use tpc_isa::{Addr, Op, OpClass, Program};
 use tpc_mem::{AccessKind, InstrCache, PrefetchCache};
-use tpc_predict::{Bimodal, TraceKey};
+use tpc_predict::Bimodal;
 
 /// Configuration of the preconstruction engine. Defaults are the
 /// paper's (Section 4.1) with a 256-entry buffer.
@@ -53,24 +53,10 @@ pub struct EngineConfig {
     pub decode_width: u32,
     /// Trace start points a region worklist can hold.
     pub worklist_cap: usize,
-    /// Run the preprocessing pipeline over preconstructed traces
-    /// (extended pipeline model, Section 6). The engine files traces
-    /// unannotated: the annotations are computed when a
-    /// preconstructed trace is first fetched, by a store the
-    /// processor sets up from this field
-    /// ([`crate::storage::SplitStore::preprocess_at_first_use`]).
-    /// `preprocess` is a pure function of the instructions, so this
-    /// gives the results of preprocessing at fill, without paying it
-    /// for the many traces never fetched.
-    pub preprocess: bool,
     /// Seed loop-exit regions at all four phases of the mod-4
     /// alignment lattice instead of only the branch fall-through.
     /// Costs extra fetch/buffer resources; measured as an ablation.
     pub lattice_seed_loop_exits: bool,
-    /// Remember the identity of every trace ever constructed
-    /// (diagnostic; lets the simulator classify trace-cache misses
-    /// into never-built vs. built-but-lost).
-    pub track_built_keys: bool,
     /// I-cache lines the engine may fetch per idle cycle (the paper
     /// uses the single idle slow-path port: 1).
     pub fetch_width: u32,
@@ -94,9 +80,7 @@ impl Default for EngineConfig {
             decision_depth: 3,
             decode_width: 4,
             worklist_cap: 8,
-            preprocess: false,
             lattice_seed_loop_exits: false,
-            track_built_keys: false,
             fetch_width: 1,
             record_activity: false,
         }
@@ -134,7 +118,8 @@ pub struct EngineStats {
     pub traces_already_cached: u64,
     /// Successor start points dropped by the worklist bound.
     pub successors_dropped: u64,
-    /// I-cache lines fetched on behalf of preconstruction.
+    /// I-cache lines fetched on behalf of preconstruction: the only
+    /// count of these fetches (the I-cache counts only their misses).
     pub lines_fetched: u64,
     /// Start points observed at dispatch (pre-deduplication).
     pub start_points_observed: u64,
@@ -301,7 +286,6 @@ pub struct PreconEngine {
     stalled: u64,
     next_region_id: u64,
     stats: EngineStats,
-    built_keys: BTreeSet<u64>,
     activity: Vec<EngineActivity>,
 }
 
@@ -349,7 +333,6 @@ impl PreconEngine {
             stalled: 0,
             next_region_id: 1,
             stats: EngineStats::default(),
-            built_keys: BTreeSet::new(),
             activity: Vec::new(),
             config,
         }
@@ -363,12 +346,6 @@ impl PreconEngine {
     /// Counters accumulated so far.
     pub fn stats(&self) -> &EngineStats {
         &self.stats
-    }
-
-    /// Whether a trace with this identity was ever constructed
-    /// (only meaningful with `track_built_keys` enabled).
-    pub fn was_ever_built(&self, key: TraceKey) -> bool {
-        self.built_keys.contains(&key.hash64())
     }
 
     /// Read access to the region start-point stack (occupancy,
@@ -771,7 +748,8 @@ impl PreconEngine {
     /// Handles a completed trace: queue its successor, store it in
     /// the buffers (unless already cached), resume alternatives.
     /// Traces are filed unannotated; the store preprocesses them at
-    /// first use (see [`EngineConfig::preprocess`]).
+    /// first use (see
+    /// [`crate::storage::SplitStore::preprocess_at_first_use`]).
     fn file_trace(
         &mut self,
         ctor: usize,
@@ -790,9 +768,6 @@ impl PreconEngine {
             "constructed trace diverges from static code: {:?}",
             trace.validate_against(program)
         );
-        if self.config.track_built_keys {
-            self.built_keys.insert(trace.key().hash64());
-        }
         let region = &mut self.regions[slot];
         let region_id = region.id;
         if let Some(succ) = trace.successor() {
@@ -977,6 +952,7 @@ mod tests {
     use tpc_isa::model::OutcomeModel;
     use tpc_isa::{BranchCond, ProgramBuilder, Reg};
     use tpc_mem::InstrCacheConfig;
+    use tpc_predict::TraceKey;
 
     fn r(i: u8) -> Reg {
         Reg::new(i)

@@ -131,16 +131,13 @@ impl FaultPlan {
     }
 }
 
-/// Counters kept by a [`FaultState`]: every draw that fired
-/// (`injected`) and every injection that actually perturbed state
-/// (`landed` — e.g. an [`FaultKind::SpuriousStackPop`] against an
-/// empty stack injects but does not land).
+/// Counters kept by a [`FaultState`], per kind: every draw that
+/// fired (`injected_by_kind`) and every injection that actually
+/// perturbed state (`landed_by_kind` — e.g. an
+/// [`FaultKind::SpuriousStackPop`] against an empty stack injects but
+/// does not land). The totals are sums, not counters of their own.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
-    /// Faults drawn and delivered to an injection point.
-    pub injected: u64,
-    /// Faults that perturbed live state.
-    pub landed: u64,
     /// Per-kind injected counts, indexed by `FaultKind as usize`.
     pub injected_by_kind: [u64; NUM_FAULT_KINDS],
     /// Per-kind landed counts, indexed by `FaultKind as usize`.
@@ -148,19 +145,24 @@ pub struct FaultStats {
 }
 
 impl FaultStats {
-    /// Visits every counter in checkpoint-word order: the two totals,
-    /// then each per-kind array in [`FaultKind::ALL`] order. The
-    /// exhaustive destructuring makes an unvisited new field a
-    /// compile error.
+    /// Faults drawn and delivered to an injection point, all kinds.
+    pub fn injected(&self) -> u64 {
+        self.injected_by_kind.iter().sum()
+    }
+
+    /// Faults that perturbed live state, all kinds.
+    pub fn landed(&self) -> u64 {
+        self.landed_by_kind.iter().sum()
+    }
+
+    /// Visits every counter in checkpoint-word order: each per-kind
+    /// array in [`FaultKind::ALL`] order. The exhaustive
+    /// destructuring makes an unvisited new field a compile error.
     pub fn visit_words(&mut self, f: &mut impl FnMut(&mut u64)) {
         let FaultStats {
-            injected,
-            landed,
             injected_by_kind,
             landed_by_kind,
         } = self;
-        f(injected);
-        f(landed);
         for w in injected_by_kind.iter_mut().chain(landed_by_kind) {
             f(w);
         }
@@ -279,10 +281,8 @@ impl FaultState {
 
     /// Records the outcome of one injected event.
     pub fn note(&mut self, kind: FaultKind, landed: bool) {
-        self.stats.injected += 1;
         self.stats.injected_by_kind[kind as usize] += 1;
         if landed {
-            self.stats.landed += 1;
             self.stats.landed_by_kind[kind as usize] += 1;
         }
     }
@@ -367,7 +367,7 @@ mod tests {
         for _ in 0..1_000 {
             assert!(s.draw().is_empty());
         }
-        assert_eq!(s.stats().injected, 0);
+        assert_eq!(s.stats().injected(), 0);
     }
 
     #[test]
@@ -394,8 +394,8 @@ mod tests {
         let mut s = FaultState::new(FaultPlan::all(1, 10));
         s.note(FaultKind::SpuriousStackPop, false);
         s.note(FaultKind::FlipBimodalBit, true);
-        assert_eq!(s.stats().injected, 2);
-        assert_eq!(s.stats().landed, 1);
+        assert_eq!(s.stats().injected(), 2);
+        assert_eq!(s.stats().landed(), 1);
         assert_eq!(
             s.stats().landed_by_kind[FaultKind::FlipBimodalBit as usize],
             1
@@ -445,7 +445,7 @@ mod tests {
             assert_eq!(s.stats().injected_by_kind[kind as usize], 1);
             assert_eq!(s.stats().landed_by_kind[kind as usize], 1);
         }
-        assert_eq!(s.stats().injected, NUM_FAULT_KINDS as u64);
-        assert_eq!(s.stats().landed, NUM_FAULT_KINDS as u64);
+        assert_eq!(s.stats().injected(), NUM_FAULT_KINDS as u64);
+        assert_eq!(s.stats().landed(), NUM_FAULT_KINDS as u64);
     }
 }

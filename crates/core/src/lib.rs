@@ -47,7 +47,7 @@ pub use faults::{
     EngineFault, FaultEvent, FaultEvents, FaultKind, FaultPlan, FaultState, FaultStats, FAULTS_ALL,
     NUM_FAULT_KINDS,
 };
-pub use precon_buffer::{PreconBuffers, PreconStats};
+pub use precon_buffer::PreconBuffers;
 pub use preprocess::{preprocess, PreprocessInfo};
 pub use start_stack::{StartPointStack, StartReason};
 pub use storage::{SplitStore, StoreCounters, StoreFetch, TraceStore, UnifiedConfig, UnifiedStore};
@@ -55,7 +55,7 @@ pub use trace::{
     PushResult, Resolution, Trace, TraceBuilder, TraceInstr, TraceStop, ALIGN_QUANTUM,
     MAX_TRACE_LEN,
 };
-pub use trace_cache::{TraceCache, TraceCacheStats};
+pub use trace_cache::TraceCache;
 
 // Trace identity/terminator types live in `tpc-predict` (the
 // next-trace predictor speaks them natively); re-export for users of

@@ -43,45 +43,22 @@ impl StoreFetch {
     };
 }
 
-/// Aggregate counters every store keeps.
+/// The counters a store keeps: only what no other component counts.
+/// Fetch outcomes are the simulator's (`SimStats::trace_cache_hits`
+/// and its siblings) and rejected fills are the engine's
+/// (`EngineStats::regions_buffer_bound`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreCounters {
-    /// Processor-side fetch probes.
-    pub fetches: u64,
-    /// Probes satisfied by the trace-cache side.
-    pub tc_hits: u64,
-    /// Probes satisfied by the preconstruction side.
-    pub precon_hits: u64,
-    /// Probes that missed everywhere.
-    pub misses: u64,
     /// Preconstruction fills accepted.
     pub precon_fills: u64,
-    /// Preconstruction fills rejected (replacement policy).
-    pub precon_rejected: u64,
 }
 
 impl StoreCounters {
     /// Visits every counter in checkpoint-word order. The exhaustive
     /// destructuring makes an unvisited new field a compile error.
     pub fn visit_words(&mut self, f: &mut impl FnMut(&mut u64)) {
-        let StoreCounters {
-            fetches,
-            tc_hits,
-            precon_hits,
-            misses,
-            precon_fills,
-            precon_rejected,
-        } = self;
-        for w in [
-            fetches,
-            tc_hits,
-            precon_hits,
-            misses,
-            precon_fills,
-            precon_rejected,
-        ] {
-            f(w);
-        }
+        let StoreCounters { precon_fills } = self;
+        f(precon_fills);
     }
 }
 
@@ -120,8 +97,8 @@ pub trait TraceStore: std::fmt::Debug {
     fn precon_capacity(&self) -> u32;
 
     /// Checks the store's structural invariants (occupancy within
-    /// capacity, counter conservation). Called by the differential
-    /// oracle after every simulation chunk.
+    /// capacity). Called by the differential oracle after every
+    /// simulation chunk.
     fn check_invariants(&self) -> Result<(), String>;
 
     /// Fault-injection hook: invalidates one pending preconstructed
@@ -181,11 +158,6 @@ impl SplitStore {
         self
     }
 
-    /// The trace-cache half (stats, occupancy).
-    pub fn trace_cache(&self) -> &TraceCache {
-        &self.tc
-    }
-
     /// The preconstruction-buffer half.
     pub fn buffers(&self) -> &PreconBuffers {
         &self.pb
@@ -194,9 +166,7 @@ impl SplitStore {
 
 impl TraceStore for SplitStore {
     fn fetch(&mut self, key: TraceKey) -> StoreFetch {
-        self.counters.fetches += 1;
         if let Some(t) = self.tc.lookup(key) {
-            self.counters.tc_hits += 1;
             return StoreFetch {
                 hit: true,
                 from_precon: false,
@@ -204,7 +174,6 @@ impl TraceStore for SplitStore {
             };
         }
         if let Some(mut t) = self.pb.take(key) {
-            self.counters.precon_hits += 1;
             if self.preprocess {
                 t.set_preprocess(preprocess(&t));
             }
@@ -216,7 +185,6 @@ impl TraceStore for SplitStore {
                 preprocess: info,
             };
         }
-        self.counters.misses += 1;
         StoreFetch::MISS
     }
 
@@ -230,11 +198,7 @@ impl TraceStore for SplitStore {
 
     fn fill_precon(&mut self, trace: Trace, region: u64) -> bool {
         let ok = self.pb.fill(trace, region);
-        if ok {
-            self.counters.precon_fills += 1;
-        } else {
-            self.counters.precon_rejected += 1;
-        }
+        self.counters.precon_fills += u64::from(ok);
         ok
     }
 
@@ -251,13 +215,6 @@ impl TraceStore for SplitStore {
     }
 
     fn check_invariants(&self) -> Result<(), String> {
-        let c = self.counters;
-        if c.fetches != c.tc_hits + c.precon_hits + c.misses {
-            return Err(format!(
-                "store counters do not conserve: {} fetches != {} + {} + {}",
-                c.fetches, c.tc_hits, c.precon_hits, c.misses
-            ));
-        }
         if self.tc.occupancy() > self.tc.capacity() as usize {
             return Err(format!(
                 "trace cache occupancy {} exceeds capacity {}",
@@ -432,7 +389,6 @@ impl UnifiedStore {
 
 impl TraceStore for UnifiedStore {
     fn fetch(&mut self, key: TraceKey) -> StoreFetch {
-        self.counters.fetches += 1;
         self.clock += 1;
         let clock = self.clock;
         let range = self.set_range(key);
@@ -452,16 +408,10 @@ impl TraceStore for UnifiedStore {
                 break;
             }
         }
-        if result.hit {
-            if result.from_precon {
-                self.counters.precon_hits += 1;
-                self.epoch_precon_hits += 1;
-            } else {
-                self.counters.tc_hits += 1;
-            }
-        } else {
-            self.counters.misses += 1;
+        if !result.hit {
             self.epoch_misses += 1;
+        } else if result.from_precon {
+            self.epoch_precon_hits += 1;
         }
         self.maybe_adapt();
         result
@@ -512,7 +462,6 @@ impl TraceStore for UnifiedStore {
 
     fn fill_precon(&mut self, trace: Trace, region: u64) -> bool {
         if self.pb_ways == 0 {
-            self.counters.precon_rejected += 1;
             return false;
         }
         self.clock += 1;
@@ -553,7 +502,6 @@ impl TraceStore for UnifiedStore {
             self.counters.precon_fills += 1;
             true
         } else {
-            self.counters.precon_rejected += 1;
             false
         }
     }
@@ -571,13 +519,6 @@ impl TraceStore for UnifiedStore {
     }
 
     fn check_invariants(&self) -> Result<(), String> {
-        let c = self.counters;
-        if c.fetches != c.tc_hits + c.precon_hits + c.misses {
-            return Err(format!(
-                "unified counters do not conserve: {} fetches != {} + {} + {}",
-                c.fetches, c.tc_hits, c.precon_hits, c.misses
-            ));
-        }
         if self.slots.len() != self.config.entries as usize {
             return Err(format!(
                 "unified store holds {} slots, configured for {}",
@@ -650,7 +591,6 @@ mod tests {
         s.fill_demand(t);
         let f = s.fetch(key);
         assert!(f.hit && !f.from_precon);
-        assert_eq!(s.counters().tc_hits, 1);
     }
 
     #[test]
@@ -672,19 +612,7 @@ mod tests {
         let mut s = SplitStore::new(64, 0);
         assert!(!s.fill_precon(mk_trace(0), 1));
         assert_eq!(s.precon_capacity(), 0);
-        assert_eq!(s.counters().precon_rejected, 1);
-    }
-
-    #[test]
-    fn split_counters_conserve() {
-        let mut s = SplitStore::new(64, 32);
-        let t = mk_trace(0);
-        let key = t.key();
-        s.fetch(key);
-        s.fill_demand(t);
-        s.fetch(key);
-        let c = s.counters();
-        assert_eq!(c.fetches, c.tc_hits + c.precon_hits + c.misses);
+        assert_eq!(s.counters().precon_fills, 0);
     }
 
     /// A preconstructed trace fills unannotated and is annotated by

@@ -4,19 +4,6 @@ use crate::slots::{probe_or_free, ProbeSlot};
 use crate::trace::Trace;
 use tpc_predict::TraceKey;
 
-/// Counters kept by the trace cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TraceCacheStats {
-    /// Lookups performed.
-    pub lookups: u64,
-    /// Lookups that missed.
-    pub misses: u64,
-    /// Traces inserted.
-    pub fills: u64,
-    /// Traces evicted by replacement.
-    pub evictions: u64,
-}
-
 #[derive(Debug, Clone)]
 struct Entry {
     /// Full identity hash — the tag.
@@ -56,7 +43,6 @@ pub struct TraceCache {
     set_mask: u64,
     slots: Vec<Option<Entry>>,
     clock: u64,
-    stats: TraceCacheStats,
 }
 
 impl TraceCache {
@@ -89,7 +75,6 @@ impl TraceCache {
             set_mask: sets as u64 - 1,
             slots: vec![None; entries as usize],
             clock: 0,
-            stats: TraceCacheStats::default(),
         }
     }
 
@@ -110,7 +95,6 @@ impl TraceCache {
     /// (the stored trace's key is compared before it is returned), as
     /// a tag mismatch would in hardware.
     pub fn lookup(&mut self, key: TraceKey) -> Option<&Trace> {
-        self.stats.lookups += 1;
         self.clock += 1;
         let clock = self.clock;
         let h = key.hash64();
@@ -128,17 +112,11 @@ impl TraceCache {
                 }
             }
         }
-        match hit {
-            Some(i) => Some(&self.slots[i].as_ref().expect("tag matched").trace),
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
+        hit.map(|i| &self.slots[i].as_ref().expect("tag matched").trace)
     }
 
     /// Whether a trace with this identity is resident (no LRU
-    /// update, no stats).
+    /// update).
     pub fn contains(&self, key: TraceKey) -> bool {
         let h = key.hash64();
         let range = self.set_range(h);
@@ -150,7 +128,6 @@ impl TraceCache {
 
     /// Inserts a trace, evicting the set's LRU entry when full.
     pub fn fill(&mut self, trace: Trace) {
-        self.stats.fills += 1;
         self.clock += 1;
         let clock = self.clock;
         let h = trace.key().hash64();
@@ -175,14 +152,8 @@ impl TraceCache {
                     stamp: clock,
                     trace,
                 });
-                self.stats.evictions += 1;
             }
         }
-    }
-
-    /// Counters accumulated so far.
-    pub fn stats(&self) -> &TraceCacheStats {
-        &self.stats
     }
 
     /// Number of resident traces.
@@ -230,8 +201,7 @@ mod tests {
         assert!(tc.lookup(key).is_none());
         tc.fill(t);
         assert!(tc.lookup(key).is_some());
-        assert_eq!(tc.stats().lookups, 2);
-        assert_eq!(tc.stats().misses, 1);
+        assert_eq!(tc.occupancy(), 1);
     }
 
     #[test]
@@ -252,17 +222,20 @@ mod tests {
             tc.fill(mk_trace(i * 16, true));
         }
         assert!(tc.occupancy() <= 4);
-        assert!(tc.stats().evictions >= 28);
+        assert!(tc.contains(mk_trace(31 * 16, true).key()), "newest fill");
     }
 
     #[test]
-    fn contains_does_not_count_stats() {
-        let mut tc = TraceCache::new(64);
-        let t = mk_trace(32, false);
-        let key = t.key();
-        tc.fill(t);
-        assert!(tc.contains(key));
-        assert_eq!(tc.stats().lookups, 0);
+    fn contains_does_not_touch_lru() {
+        let mut tc = TraceCache::new(2); // 1 set × 2 ways
+        let (a, b) = (mk_trace(0, true), mk_trace(16, true));
+        let (ka, kb) = (a.key(), b.key());
+        tc.fill(a);
+        tc.fill(b);
+        assert!(tc.contains(ka)); // a stays LRU
+        tc.fill(mk_trace(32, true));
+        assert!(!tc.contains(ka), "contains refreshed nothing");
+        assert!(tc.contains(kb));
     }
 
     #[test]
@@ -272,7 +245,6 @@ mod tests {
         let key = t.key();
         tc.fill(t.clone());
         tc.fill(t);
-        assert_eq!(tc.stats().evictions, 0);
         assert!(tc.contains(key));
         assert_eq!(tc.occupancy(), 1);
     }
@@ -290,7 +262,7 @@ mod tests {
         tc.fill(c);
         assert!(tc.contains(ka));
         assert!(!tc.contains(kb), "LRU way was evicted");
-        assert_eq!(tc.stats().evictions, 1);
+        assert_eq!(tc.occupancy(), 2);
     }
 
     #[test]

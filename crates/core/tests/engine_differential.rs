@@ -560,7 +560,6 @@ fn random_config(rng: &mut XorShift64, paper: bool) -> EngineConfig {
         decode_width: rng.next_below(7),
         worklist_cap: rng.next_in(1, 10) as usize,
         lattice_seed_loop_exits: rng.chance(1, 2),
-        track_built_keys: rng.chance(1, 2),
         fetch_width: rng.next_in(1, 2),
         ..base
     }

@@ -15,9 +15,9 @@
 //!   the correct path over the measurement window, from
 //!   [`tpc_processor::TraceStream`];
 //! - **preconstruction coverage** — the share of that dynamic working
-//!   set a preconstructing frontend ever built (engine key tracking
-//!   via `was_ever_built`), alongside the share the biased static
-//!   enumeration predicted (`enumerable`).
+//!   set a preconstructing frontend ever built (the keys of the
+//!   engine's `TraceEmitted` activity), alongside the share the biased
+//!   static enumeration predicted (`enumerable`).
 //!
 //! The gap between the two shares is the paper's motivation made
 //! quantitative: static enumeration over-approximates what a
@@ -31,7 +31,7 @@ use crate::par_sweep::{effective_jobs, par_map};
 use crate::report::{f1, markdown_table};
 use crate::RunParams;
 use tpc_analysis::{enumerate_biased, Cfg};
-use tpc_core::TraceKey;
+use tpc_core::{EngineActivity, TraceKey};
 use tpc_isa::OpClass;
 use tpc_processor::{SimConfig, Simulator, TraceStream};
 use tpc_workloads::{Benchmark, WorkloadBuilder};
@@ -40,6 +40,10 @@ use tpc_workloads::{Benchmark, WorkloadBuilder};
 /// `analyze_program` binary. Counts at the cap are lower bounds and
 /// flagged as truncated.
 pub const MAX_STATIC_TRACES: usize = 200_000;
+
+/// Instructions simulated between drains of the engine's activity
+/// log, which bounds the log's memory.
+const ACTIVITY_SLICE: u64 = 10_000;
 
 /// One benchmark's static-vs-dynamic measurements.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -116,16 +120,29 @@ fn measure(benchmark: Benchmark, params: RunParams) -> CoverageRow {
         .count();
 
     // Preconstruction coverage: run the standard preconstructing
-    // frontend with engine key tracking and ask, for each dynamic
-    // key, whether the engine ever built it.
+    // frontend through the warmup and the window, collect the key of
+    // every trace the engine built, and count the dynamic keys among
+    // them.
     let mut config = SimConfig::with_precon(128, 128);
-    config.engine.track_built_keys = true;
+    config.engine.record_activity = true;
     let mut sim = Simulator::new(&program, config);
-    sim.run_with_warmup(params.warmup, params.measure);
-    let built = dynamic
-        .iter()
-        .filter(|&&k| sim.engine().was_ever_built(k))
-        .count();
+    let mut emitted: BTreeSet<TraceKey> = BTreeSet::new();
+    let mut retired = 0;
+    for phase in [params.warmup, params.measure] {
+        // Slices stop where one run of `phase` would.
+        let end = retired + phase;
+        while retired < end {
+            retired = sim
+                .run((end - retired).min(ACTIVITY_SLICE))
+                .retired_instructions;
+            for activity in sim.take_engine_activity() {
+                if let EngineActivity::TraceEmitted(t) = activity {
+                    emitted.insert(t.key());
+                }
+            }
+        }
+    }
+    let built = dynamic.intersection(&emitted).count();
 
     CoverageRow {
         benchmark,

@@ -153,8 +153,8 @@ pub fn render(rows: &[DegradationRow]) -> String {
                     Ok(s) => row.extend([
                         format!("{}", s.tc_hit_permille()),
                         f2(s.ipc()),
-                        format!("{}", s.faults.injected),
-                        format!("{}", s.faults.landed),
+                        format!("{}", s.faults.injected()),
+                        format!("{}", s.faults.landed()),
                     ]),
                     Err(e) => {
                         row.extend(["-".into(), "-".into(), "-".into(), format!("FAILED: {e}")])
@@ -210,9 +210,9 @@ mod tests {
         assert!(rows.iter().all(|r| r.result.is_ok()));
         // Zero intensity injects nothing; the top intensity injects.
         let zero = rows[0].result.as_ref().unwrap();
-        assert_eq!(zero.faults.injected, 0);
+        assert_eq!(zero.faults.injected(), 0);
         let top = rows.last().unwrap().result.as_ref().unwrap();
-        assert!(top.faults.injected > 0);
+        assert!(top.faults.injected() > 0);
     }
 
     #[test]

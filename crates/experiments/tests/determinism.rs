@@ -64,7 +64,7 @@ fn fault_schedules_are_identical_across_job_counts() {
     }
     // The schedules actually fired (same counts in both runs, but a
     // vacuous equality over zero faults would prove nothing).
-    assert!(serial.iter().flatten().any(|s| s.faults.landed > 0));
+    assert!(serial.iter().flatten().any(|s| s.faults.landed() > 0));
 }
 
 #[test]

@@ -51,21 +51,21 @@ impl Default for InstrCacheConfig {
     }
 }
 
-/// Counters kept by the instruction cache.
+/// Counters kept by the instruction cache: the outcomes only the
+/// cache knows. Each requester counts its own line fetches
+/// (`SimStats::slow_path_lines` for demand,
+/// `EngineStats::lines_fetched` for preconstruction).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IcacheStats {
-    /// Demand (slow-path) line accesses.
-    pub demand_accesses: u64,
-    /// Demand accesses that missed.
+    /// Demand (slow-path) fetches that missed.
     pub demand_misses: u64,
-    /// Preconstruction line accesses.
-    pub precon_accesses: u64,
-    /// Preconstruction accesses that missed.
+    /// Preconstruction fetches that missed.
     pub precon_misses: u64,
-    /// Demand misses on lines most recently filled by preconstruction
-    /// — prefetches that arrived *but were evicted* do not count; a
-    /// demand *hit* on a precon-filled line is counted in
-    /// `demand_hits_on_precon_lines` instead.
+    /// Demand fetches that hit a line whose most recent fill was a
+    /// preconstruction fill: prefetches that arrived and survived
+    /// until the slow path needed them. A preconstruction-filled
+    /// line evicted before its demand fetch counts in
+    /// `demand_misses` instead.
     pub demand_hits_on_precon_lines: u64,
 }
 
@@ -79,19 +79,11 @@ impl IcacheStats {
     /// destructuring makes an unvisited new field a compile error.
     pub fn visit_words(&mut self, f: &mut impl FnMut(&mut u64)) {
         let IcacheStats {
-            demand_accesses,
             demand_misses,
-            precon_accesses,
             precon_misses,
             demand_hits_on_precon_lines,
         } = self;
-        for w in [
-            demand_accesses,
-            demand_misses,
-            precon_accesses,
-            precon_misses,
-            demand_hits_on_precon_lines,
-        ] {
+        for w in [demand_misses, precon_misses, demand_hits_on_precon_lines] {
             f(w);
         }
     }
@@ -139,21 +131,11 @@ impl InstrCache {
         let line = line_of(addr);
         let precon_filled = self.tags.access_mark(line);
         let hit = precon_filled.is_some();
-        match kind {
-            AccessKind::Demand => {
-                self.stats.demand_accesses += 1;
-                match precon_filled {
-                    None => self.stats.demand_misses += 1,
-                    Some(true) => self.stats.demand_hits_on_precon_lines += 1,
-                    Some(false) => {}
-                }
-            }
-            AccessKind::Precon => {
-                self.stats.precon_accesses += 1;
-                if !hit {
-                    self.stats.precon_misses += 1;
-                }
-            }
+        match (kind, precon_filled) {
+            (AccessKind::Demand, None) => self.stats.demand_misses += 1,
+            (AccessKind::Demand, Some(true)) => self.stats.demand_hits_on_precon_lines += 1,
+            (AccessKind::Precon, None) => self.stats.precon_misses += 1,
+            (_, Some(_)) => {}
         }
         if !hit {
             self.tags.fill_marking(line, kind == AccessKind::Precon);
@@ -226,9 +208,7 @@ mod tests {
         ic.fetch(Addr::new(16), AccessKind::Precon);
         ic.fetch(Addr::new(16), AccessKind::Precon);
         let s = ic.stats();
-        assert_eq!(s.demand_accesses, 1);
         assert_eq!(s.demand_misses, 1);
-        assert_eq!(s.precon_accesses, 2);
         assert_eq!(s.precon_misses, 1);
     }
 

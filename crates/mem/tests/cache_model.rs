@@ -249,17 +249,13 @@ fn instr_cache_matches_reference_precon_attribution() {
             let hit = tags.touch(line);
             match kind {
                 AccessKind::Demand => {
-                    expected.demand_accesses += 1;
                     if !hit {
                         expected.demand_misses += 1;
                     } else if precon_filled.contains(&line) {
                         expected.demand_hits_on_precon_lines += 1;
                     }
                 }
-                AccessKind::Precon => {
-                    expected.precon_accesses += 1;
-                    expected.precon_misses += u64::from(!hit);
-                }
+                AccessKind::Precon => expected.precon_misses += u64::from(!hit),
             }
             if !hit {
                 if let Some((evicted, _)) = tags.fill(line, false) {

@@ -177,8 +177,8 @@ pub fn run_differential_faulted<S: FrontendSource>(
             config: nc.config.clone().with_faults(plan),
         };
         let stats = check_config(source, &faulted, instructions, &enumeration)?;
-        report.faults_injected += stats.faults.injected;
-        report.faults_landed += stats.faults.landed;
+        report.faults_injected += stats.faults.injected();
+        report.faults_landed += stats.faults.landed();
     }
     Ok(report)
 }

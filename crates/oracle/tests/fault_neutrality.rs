@@ -119,7 +119,7 @@ fn faults_perturb_statistics_without_perturbing_retirement() {
         );
         faulted.run(4_000);
         let (cs, mut fs) = (clean.stats(), faulted.stats());
-        assert!(fs.faults.landed > 0, "{}: no faults landed", nc.name);
+        assert!(fs.faults.landed() > 0, "{}: no faults landed", nc.name);
         fs.faults = cs.faults;
         if cs != fs {
             perturbed += 1;

@@ -24,5 +24,5 @@ pub mod ntp;
 pub mod ras;
 
 pub use bimodal::{Bias, Bimodal};
-pub use ntp::{NextTracePredictor, NtpConfig, NtpStats, TraceEnd, TraceKey};
+pub use ntp::{NextTracePredictor, NtpConfig, TraceEnd, TraceKey};
 pub use ras::ReturnAddressStack;

@@ -80,26 +80,6 @@ impl Default for NtpConfig {
     }
 }
 
-/// Accuracy counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NtpStats {
-    /// Observations where a prediction existed.
-    pub predictions: u64,
-    /// Observations where no table entry existed (cold).
-    pub no_prediction: u64,
-    /// Predictions whose key matched the actual next trace.
-    pub correct: u64,
-}
-
-impl NtpStats {
-    /// Correct predictions per 1000 opportunities (predictions +
-    /// cold misses); `None` before any observation.
-    pub fn accuracy_permille(&self) -> Option<u32> {
-        let total = self.predictions + self.no_prediction;
-        (total > 0).then(|| (self.correct * 1000 / total) as u32)
-    }
-}
-
 /// One table entry packed into a word: the predicted key's start in
 /// bits 0..32, its outcomes in bits 32..48, `branch_count + 1` in
 /// bits 48..57, and the 2-bit confidence counter in bits 62..64. The
@@ -173,7 +153,6 @@ pub struct NextTracePredictor {
     /// History buffers released by returns, reused by later calls'
     /// saves: the return history stack allocates nothing once warm.
     spare: Vec<VecDeque<TraceKey>>,
-    stats: NtpStats,
 }
 
 impl NextTracePredictor {
@@ -186,7 +165,6 @@ impl NextTracePredictor {
             history: VecDeque::with_capacity(config.history_depth + 1),
             rhs: Vec::with_capacity(config.rhs_depth),
             spare: Vec::with_capacity(config.rhs_depth + 1),
-            stats: NtpStats::default(),
         }
     }
 
@@ -237,15 +215,6 @@ impl NextTracePredictor {
     pub fn observe(&mut self, actual: TraceKey, end: TraceEnd) -> Option<TraceKey> {
         let (pi, si) = self.indices();
         let predicted = self.prediction((pi, si));
-        match predicted {
-            Some(pred) => {
-                self.stats.predictions += 1;
-                if pred == actual {
-                    self.stats.correct += 1;
-                }
-            }
-            None => self.stats.no_prediction += 1,
-        }
         self.primary[pi] = TableEntry(self.primary[pi]).trained(actual).0;
         if let Some(si) = si {
             self.secondary[si] = TableEntry(self.secondary[si]).trained(actual).0;
@@ -280,11 +249,6 @@ impl NextTracePredictor {
             self.history.pop_front();
         }
         predicted
-    }
-
-    /// Accuracy counters.
-    pub fn stats(&self) -> &NtpStats {
-        &self.stats
     }
 
     /// The current path history, most recent last (for tests).
@@ -390,18 +354,6 @@ mod tests {
         p.observe(callee, TraceEnd::Fallthrough);
         p.observe(ret_tr, TraceEnd::Return);
         assert_eq!(p.predict(), Some(after));
-    }
-
-    #[test]
-    fn stats_count_opportunities() {
-        let mut p = NextTracePredictor::new(NtpConfig::default());
-        let k = key(0, 0, 0);
-        p.observe(k, TraceEnd::Fallthrough); // cold
-        p.observe(k, TraceEnd::Fallthrough);
-        let s = p.stats();
-        assert_eq!(s.predictions + s.no_prediction, 2);
-        assert!(s.no_prediction >= 1);
-        assert!(s.accuracy_permille().is_some());
     }
 
     #[test]

@@ -42,4 +42,4 @@ pub use stream::{DynTrace, TraceStream, TraceVec};
 /// moves any [`SimStats`] word or pinned log digest bumps it (and
 /// appends a pin to `tests/stats_golden.rs`). Sweep checkpoints hash
 /// it, so results recorded by an older model are never replayed.
-pub const MODEL_VERSION: u32 = 2;
+pub const MODEL_VERSION: u32 = 3;

@@ -42,7 +42,10 @@ pub struct SimConfig {
     pub storage: StorageKind,
     /// Preconstruction engine configuration (including buffer size).
     pub engine: EngineConfig,
-    /// Preprocess traces at fill time (extended pipeline model).
+    /// Preprocess traces (extended pipeline model, Section 6): a
+    /// slow-path trace when it fills the trace cache, a
+    /// preconstructed trace when it is first fetched (see
+    /// [`SplitStore::preprocess_at_first_use`]).
     pub preprocess: bool,
     /// Instruction cache configuration.
     pub icache: InstrCacheConfig,
@@ -120,7 +123,6 @@ impl SimConfig {
     /// for preconstructed traces at their first fetch.
     pub fn with_preprocess(mut self) -> Self {
         self.preprocess = true;
-        self.engine.preprocess = true;
         self
     }
 
@@ -178,17 +180,14 @@ pub struct SimStats {
     /// Slow-path instructions supplied from lines that missed in the
     /// I-cache.
     pub slow_path_miss_instructions: u64,
-    /// I-cache lines fetched by the slow path.
+    /// I-cache lines fetched by the slow path: the only count of
+    /// these fetches (the I-cache counts only their misses).
     pub slow_path_lines: u64,
     /// Next-trace-predictor mispredictions (including cold misses).
     pub ntp_mispredicts: u64,
     /// Slow-path stalls charged for bimodal/RAS/indirect
     /// mispredictions during trace building.
     pub slow_path_predict_stalls: u64,
-    /// Trace-cache misses whose trace the engine had built at some
-    /// point but lost again (diagnostic; requires
-    /// `EngineConfig::track_built_keys`).
-    pub misses_previously_built: u64,
     /// Instruction-cache counters.
     pub icache: IcacheStats,
     /// Preconstruction-engine counters.
@@ -250,7 +249,7 @@ impl SimStats {
     }
 
     /// Number of `u64` words in the [`SimStats::to_words`] encoding.
-    pub const WORDS: usize = 62;
+    pub const WORDS: usize = 52;
 
     /// Visits every counter in checkpoint-word order: the scalars,
     /// then the I-cache, engine, store, frontend, D-cache and fault
@@ -271,7 +270,6 @@ impl SimStats {
             slow_path_lines,
             ntp_mispredicts,
             slow_path_predict_stalls,
-            misses_previously_built,
             icache,
             engine,
             store,
@@ -292,7 +290,6 @@ impl SimStats {
             slow_path_lines,
             ntp_mispredicts,
             slow_path_predict_stalls,
-            misses_previously_built,
         ] {
             f(w);
         }
@@ -383,8 +380,9 @@ fn per_kilo(count: u64, instructions: u64) -> f64 {
 /// view of why IPC is lost).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FrontendBreakdown {
-    /// Cycles a trace was supplied (trace cache, buffers, or a
-    /// completed slow-path build dispatching).
+    /// Cycles a trace was supplied by the trace cache or the
+    /// preconstruction buffers, one per hit. A slow-path trace
+    /// dispatches in the last of its `slow_build` cycles.
     pub dispatched: u64,
     /// Cycles spent inside slow-path builds (I-cache fetch, miss
     /// latency, prediction-repair stalls).
@@ -619,7 +617,7 @@ impl<F: Frontend> Simulator<F> {
     /// [`Frontend`].
     pub fn with_frontend(frontend: F, config: SimConfig) -> Self {
         // Preconstructed traces are preprocessed at first use, by the
-        // store (see `EngineConfig::preprocess`).
+        // store.
         let store: Box<dyn TraceStore> = match config.storage {
             StorageKind::Split => Box::new(
                 SplitStore::new(
@@ -630,7 +628,7 @@ impl<F: Frontend> Simulator<F> {
                         0
                     },
                 )
-                .preprocess_at_first_use(config.engine.preprocess),
+                .preprocess_at_first_use(config.preprocess),
             ),
             StorageKind::Unified {
                 initial_pb_ways,
@@ -641,7 +639,7 @@ impl<F: Frontend> Simulator<F> {
                     initial_pb_ways,
                     epoch_fetches,
                 })
-                .preprocess_at_first_use(config.engine.preprocess),
+                .preprocess_at_first_use(config.preprocess),
             ),
         };
         Simulator {
@@ -694,12 +692,6 @@ impl<F: Frontend> Simulator<F> {
         &self.config
     }
 
-    /// The retired-instruction log accumulated so far (empty unless
-    /// [`SimConfig::record_retirement`] is set).
-    pub fn retirement_log(&self) -> &[RetiredInstr] {
-        &self.retirement
-    }
-
     /// Drains and returns the retired-instruction log, leaving it
     /// empty. The differential runner calls this between chunks so
     /// long runs compare in bounded memory.
@@ -707,17 +699,42 @@ impl<F: Frontend> Simulator<F> {
         std::mem::take(&mut self.retirement)
     }
 
-    /// Checks the simulator-wide conservation invariants the
-    /// differential oracle enforces after every chunk: the fetch
-    /// conservation law, retirement accounting (exact: counters never
-    /// reset), and the storage and engine structural invariants
-    /// (occupancy ≤ capacity, start stack within its 16+4 bound).
+    /// Checks the simulator-wide invariants the differential oracle
+    /// enforces after every chunk, exact because counters never
+    /// reset:
+    ///
+    /// * fetch conservation: every fetch hit one side or missed;
+    /// * every hit dispatched in a cycle of its own;
+    /// * every built trace was filed, already cached, or ended its
+    ///   region with a rejected fill;
+    /// * no trace retired unfetched, and no fault kind landed more
+    ///   often than it was injected;
+    /// * the storage and engine structural invariants (occupancy ≤
+    ///   capacity, start stack within its 16+4 bound).
     pub fn check_invariants(&self) -> Result<(), String> {
-        let s = &self.stats;
-        if s.trace_fetches != s.trace_cache_hits + s.precon_buffer_hits + s.trace_cache_misses {
+        let s = self.stats();
+        let hits = s.trace_cache_hits + s.precon_buffer_hits;
+        if s.trace_fetches != hits + s.trace_cache_misses {
             return Err(format!(
                 "fetch conservation violated: {} fetches != {} tc hits + {} pb hits + {} misses",
                 s.trace_fetches, s.trace_cache_hits, s.precon_buffer_hits, s.trace_cache_misses
+            ));
+        }
+        if s.frontend.dispatched != hits {
+            return Err(format!(
+                "{} dispatch cycles != {hits} trace-cache and buffer hits",
+                s.frontend.dispatched
+            ));
+        }
+        let e = &s.engine;
+        if s.store.precon_fills + e.traces_already_cached + e.regions_buffer_bound != e.traces_built
+        {
+            return Err(format!(
+                "{} traces built != {} filed + {} already cached + {} rejected",
+                e.traces_built,
+                s.store.precon_fills,
+                e.traces_already_cached,
+                e.regions_buffer_bound
             ));
         }
         if s.retired_traces > s.trace_fetches {
@@ -726,15 +743,21 @@ impl<F: Frontend> Simulator<F> {
                 s.retired_traces, s.trace_fetches
             ));
         }
+        for kind in FaultKind::ALL {
+            let (injected, landed) = (
+                s.faults.injected_by_kind[kind as usize],
+                s.faults.landed_by_kind[kind as usize],
+            );
+            if landed > injected {
+                return Err(format!(
+                    "{} faults landed {landed} times of {injected} injected",
+                    kind.name()
+                ));
+            }
+        }
         self.store.check_invariants()?;
         self.engine.check_invariants()?;
         Ok(())
-    }
-
-    /// Read access to the preconstruction engine (buffer occupancy,
-    /// detailed counters).
-    pub fn engine(&self) -> &PreconEngine {
-        &self.engine
     }
 
     /// Drains the engine's activity log (empty unless
@@ -744,11 +767,6 @@ impl<F: Frontend> Simulator<F> {
     /// enumeration.
     pub fn take_engine_activity(&mut self) -> Vec<tpc_core::EngineActivity> {
         self.engine.take_activity()
-    }
-
-    /// Read access to the trace storage (split or unified).
-    pub fn store(&self) -> &dyn TraceStore {
-        &*self.store
     }
 
     /// Runs until at least `instructions` have retired; returns a
@@ -1021,9 +1039,6 @@ impl<F: Frontend> Simulator<F> {
 
         // Miss: build the trace through the slow path.
         self.stats.trace_cache_misses += 1;
-        if self.engine.was_ever_built(key) {
-            self.stats.misses_previously_built += 1;
-        }
         let dt = self.pending.take().expect("set above");
         self.record(SimEvent::SlowBuildBegin {
             cycle: self.cycle,
@@ -1363,7 +1378,7 @@ mod tests {
     #[test]
     fn disabled_engine_never_fetches() {
         let s = run(SimConfig::baseline(128), Benchmark::Gcc, 30_000);
-        assert_eq!(s.icache.precon_accesses, 0);
+        assert_eq!(s.engine.lines_fetched, 0);
         assert_eq!(s.precon_buffer_hits, 0);
     }
 
@@ -1371,9 +1386,9 @@ mod tests {
     fn fault_injection_fires_and_lands() {
         let cfg = SimConfig::with_precon(128, 128).with_faults(FaultPlan::all(0xBEEF, 50));
         let s = run(cfg, Benchmark::Gcc, 40_000);
-        assert!(s.faults.injected > 0, "plan with 50‰ per kind injects");
-        assert!(s.faults.landed > 0, "some faults hit live state");
-        assert!(s.faults.landed <= s.faults.injected);
+        assert!(s.faults.injected() > 0, "plan with 50‰ per kind injects");
+        assert!(s.faults.landed() > 0, "some faults hit live state");
+        assert!(s.faults.landed() <= s.faults.injected());
         assert!(s.retired_instructions >= 40_000, "still makes progress");
     }
 
@@ -1384,7 +1399,7 @@ mod tests {
         let a = Simulator::new(&p, cfg.clone()).run(30_000);
         let b = Simulator::new(&p, cfg).run(30_000);
         assert_eq!(a, b, "same plan, same schedule, bit-identical stats");
-        assert!(a.faults.injected > 0);
+        assert!(a.faults.injected() > 0);
     }
 
     #[test]
@@ -1398,7 +1413,7 @@ mod tests {
         let mut faulty = Simulator::new(&p, faulty_cfg);
         let sc = clean.run(30_000);
         let sf = faulty.run(30_000);
-        assert!(sf.faults.landed > 0, "faults demonstrably fired");
+        assert!(sf.faults.landed() > 0, "faults demonstrably fired");
         // Same retired instruction *stream*...
         let rc = clean.take_retirement();
         let rf = faulty.take_retirement();
@@ -1441,51 +1456,39 @@ mod tests {
             slow_path_lines: 10,
             ntp_mispredicts: 11,
             slow_path_predict_stalls: 12,
-            misses_previously_built: 13,
             icache: IcacheStats {
-                demand_accesses: 14,
-                demand_misses: 15,
-                precon_accesses: 16,
-                precon_misses: 17,
-                demand_hits_on_precon_lines: 18,
+                demand_misses: 13,
+                precon_misses: 14,
+                demand_hits_on_precon_lines: 15,
             },
             engine: EngineStats {
-                regions_started: 19,
-                regions_completed: 20,
-                regions_caught_up: 21,
-                regions_fetch_bound: 22,
-                regions_buffer_bound: 23,
-                traces_built: 24,
-                traces_already_cached: 25,
-                successors_dropped: 26,
-                lines_fetched: 27,
-                start_points_observed: 28,
+                regions_started: 16,
+                regions_completed: 17,
+                regions_caught_up: 18,
+                regions_fetch_bound: 19,
+                regions_buffer_bound: 20,
+                traces_built: 21,
+                traces_already_cached: 22,
+                successors_dropped: 23,
+                lines_fetched: 24,
+                start_points_observed: 25,
             },
-            store: StoreCounters {
-                fetches: 29,
-                tc_hits: 30,
-                precon_hits: 31,
-                misses: 32,
-                precon_fills: 33,
-                precon_rejected: 34,
-            },
+            store: StoreCounters { precon_fills: 26 },
             frontend: FrontendBreakdown {
-                dispatched: 35,
-                slow_build: 36,
-                mispredict_stall: 37,
-                backpressure: 38,
+                dispatched: 27,
+                slow_build: 28,
+                mispredict_stall: 29,
+                backpressure: 30,
             },
             dcache: DataCacheStats {
-                loads: 39,
-                stores: 40,
-                misses: 41,
-                writebacks: 42,
+                loads: 31,
+                stores: 32,
+                misses: 33,
+                writebacks: 34,
             },
             faults: FaultStats {
-                injected: 43,
-                landed: 44,
-                injected_by_kind: [45, 46, 47, 48, 49, 50, 51, 52, 53],
-                landed_by_kind: [54, 55, 56, 57, 58, 59, 60, 61, 62],
+                injected_by_kind: [35, 36, 37, 38, 39, 40, 41, 42, 43],
+                landed_by_kind: [44, 45, 46, 47, 48, 49, 50, 51, 52],
             },
         };
         assert_eq!(s, expected);

@@ -122,3 +122,62 @@ fn no_pointer_formatting() {
         );
     }
 }
+
+/// Every production `pub struct` named `*Stats` or `*Counters` is
+/// reachable from `SimStats::visit_words`: it is `SimStats` itself,
+/// or it defines `visit_words` and is a field type of `SimStats`. A
+/// counter struct outside the checkpoint words is bumped on the hot
+/// path and read by nothing. `StaticStats` describes a program and
+/// counts nothing.
+#[test]
+fn every_counter_struct_reaches_the_checkpoint_words() {
+    const EXEMPT: &[&str] = &["StaticStats"];
+    let sources: Vec<(PathBuf, String)> = production_files()
+        .into_iter()
+        .map(|path| {
+            let text = read(&path);
+            (path, text)
+        })
+        .collect();
+    let sim_stats = sources
+        .iter()
+        .find_map(|(_, text)| {
+            let at = text.find("pub struct SimStats {")?;
+            text[at..].find("\n}").map(|end| &text[at..at + end])
+        })
+        .expect("`pub struct SimStats` not found");
+    let mut checked = 0;
+    for (path, text) in &sources {
+        for (at, _) in text.match_indices("pub struct ") {
+            let name: String = text[at + "pub struct ".len()..]
+                .chars()
+                .take_while(|&c| is_ident_char(c))
+                .collect();
+            let counts = name.ends_with("Stats") || name.ends_with("Counters");
+            if !counts || name == "SimStats" || EXEMPT.contains(&name.as_str()) {
+                continue;
+            }
+            checked += 1;
+            let block = text.find(&format!("\nimpl {name} {{")).map(|at| {
+                let end = text[at + 1..]
+                    .find("\n}")
+                    .map_or(text.len(), |e| at + 1 + e);
+                &text[at..end]
+            });
+            assert!(
+                block.is_some_and(|b| b.contains("pub fn visit_words(")),
+                "`{name}` ({}) defines no `visit_words`: its counters reach no checkpoint word",
+                path.display()
+            );
+            assert!(
+                mentions(sim_stats, &name),
+                "`{name}` ({}) is not a field type of `SimStats`",
+                path.display()
+            );
+        }
+    }
+    assert!(
+        checked > 0,
+        "no counter struct found: the rule no longer matches the source"
+    );
+}

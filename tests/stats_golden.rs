@@ -119,10 +119,9 @@ const GOLDEN: &[Golden] = &[
         0xb0a0ebab019823ca,
         0xcbf29ce484222325,
         [
-            46398, 60010, 5473, 5469, 3631, 0, 1838, 21979, 2452, 4262, 1818, 898, 0, 4262, 444, 0,
-            0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5469, 3631, 0, 1838, 0, 0, 3631, 16868, 18981,
-            6918, 12364, 4884, 1854, 329, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-            0,
+            46398, 60010, 5473, 5469, 3631, 0, 1838, 21979, 2452, 4262, 1818, 898, 444, 0, 0, 0, 0,
+            0, 0, 0, 0, 0, 0, 0, 0, 0, 3631, 16868, 18981, 6918, 12364, 4884, 1854, 329, 0, 0, 0,
+            0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
         ],
     ),
     (
@@ -132,10 +131,9 @@ const GOLDEN: &[Golden] = &[
         0xec7a983e974f1067,
         0x7162f1f3d6429950,
         [
-            39901, 60010, 5473, 5469, 2975, 1267, 1227, 15173, 400, 2893, 1818, 585, 0, 2893, 84,
-            8914, 361, 2120, 2598, 1429, 1009, 5, 156, 13406, 2445, 64, 8914, 4454, 5469, 2975,
-            1267, 1227, 10805, 156, 4242, 9112, 19349, 7198, 12364, 4884, 1854, 329, 0, 0, 0, 0, 0,
-            0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            39901, 60010, 5473, 5469, 2975, 1267, 1227, 15173, 400, 2893, 1818, 585, 84, 361, 2120,
+            2598, 1429, 1009, 5, 156, 13406, 2445, 64, 8914, 4454, 10805, 4242, 9112, 19349, 7198,
+            12364, 4884, 1854, 329, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
         ],
     ),
     (
@@ -145,10 +143,9 @@ const GOLDEN: &[Golden] = &[
         0x7b18682bce9a59ce,
         0xcbf29ce484222325,
         [
-            45004, 60010, 5473, 5469, 3631, 0, 1838, 21979, 2452, 4262, 1818, 901, 0, 4262, 444, 0,
-            0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5469, 3631, 0, 1838, 0, 0, 3631, 16883, 18597,
-            5893, 12364, 4884, 1854, 329, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-            0,
+            45004, 60010, 5473, 5469, 3631, 0, 1838, 21979, 2452, 4262, 1818, 901, 444, 0, 0, 0, 0,
+            0, 0, 0, 0, 0, 0, 0, 0, 0, 3631, 16883, 18597, 5893, 12364, 4884, 1854, 329, 0, 0, 0,
+            0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
         ],
     ),
     (
@@ -158,10 +155,9 @@ const GOLDEN: &[Golden] = &[
         0xe9f705fb98cbc42a,
         0x818752a3441644ae,
         [
-            38517, 60010, 5473, 5469, 2975, 1233, 1261, 15499, 440, 2971, 1818, 599, 0, 2971, 89,
-            8741, 356, 2154, 2592, 1383, 1053, 7, 150, 12939, 2370, 64, 8741, 4454, 5469, 2975,
-            1233, 1261, 10419, 150, 4208, 9378, 18808, 6123, 12364, 4884, 1854, 329, 0, 0, 0, 0, 0,
-            0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            38517, 60010, 5473, 5469, 2975, 1233, 1261, 15499, 440, 2971, 1818, 599, 89, 356, 2154,
+            2592, 1383, 1053, 7, 150, 12939, 2370, 64, 8741, 4454, 10419, 4208, 9378, 18808, 6123,
+            12364, 4884, 1854, 329, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
         ],
     ),
     (
@@ -171,10 +167,9 @@ const GOLDEN: &[Golden] = &[
         0xfc4b3328b6aeed18,
         0x43a3d85da9f22553,
         [
-            39918, 60010, 5473, 5469, 3151, 1190, 1128, 13759, 411, 2650, 1818, 590, 0, 2650, 87,
-            8867, 358, 1931, 2632, 1377, 983, 4, 268, 12275, 2141, 36, 8867, 4454, 5469, 3151,
-            1190, 1128, 9866, 268, 4341, 8726, 19285, 7566, 12364, 4884, 1854, 329, 0, 0, 0, 0, 0,
-            0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            39918, 60010, 5473, 5469, 3151, 1190, 1128, 13759, 411, 2650, 1818, 590, 87, 358, 1931,
+            2632, 1377, 983, 4, 268, 12275, 2141, 36, 8867, 4454, 9866, 4341, 8726, 19285, 7566,
+            12364, 4884, 1854, 329, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
         ],
     ),
     (
@@ -184,9 +179,9 @@ const GOLDEN: &[Golden] = &[
         0xb49dae346a09cb07,
         0xcbf29ce484222325,
         [
-            15285, 60001, 7608, 7608, 7582, 0, 26, 324, 0, 55, 218, 8, 0, 55, 0, 0, 0, 0, 0, 0, 0,
-            0, 0, 0, 0, 0, 0, 0, 7608, 7582, 0, 26, 0, 0, 7582, 147, 1460, 6096, 9974, 6740, 103,
-            0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            15285, 60001, 7608, 7608, 7582, 0, 26, 324, 0, 55, 218, 8, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            0, 0, 0, 0, 0, 7582, 147, 1460, 6096, 9974, 6740, 103, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            0, 0, 0, 0, 0, 0, 0, 0,
         ],
     ),
     (
@@ -196,9 +191,9 @@ const GOLDEN: &[Golden] = &[
         0x4835485d3381c3be,
         0x576b968f7b946fa9,
         [
-            15197, 60001, 7608, 7608, 7532, 44, 32, 428, 0, 51, 218, 2, 0, 51, 0, 2113, 0, 41, 664,
-            642, 22, 0, 0, 2629, 1194, 0, 2113, 7454, 7608, 7532, 44, 32, 1435, 0, 7576, 125, 1448,
-            6048, 9974, 6740, 103, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            15197, 60001, 7608, 7608, 7532, 44, 32, 428, 0, 51, 218, 2, 0, 0, 41, 664, 642, 22, 0,
+            0, 2629, 1194, 0, 2113, 7454, 1435, 7576, 125, 1448, 6048, 9974, 6740, 103, 0, 0, 0, 0,
+            0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
         ],
     ),
     (
@@ -208,9 +203,9 @@ const GOLDEN: &[Golden] = &[
         0x1f86811785b2cde1,
         0xcbf29ce484222325,
         [
-            14701, 60001, 7608, 7608, 7582, 0, 26, 324, 0, 55, 218, 8, 0, 55, 0, 0, 0, 0, 0, 0, 0,
-            0, 0, 0, 0, 0, 0, 0, 7608, 7582, 0, 26, 0, 0, 7582, 147, 1589, 5383, 9974, 6740, 103,
-            0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            14701, 60001, 7608, 7608, 7582, 0, 26, 324, 0, 55, 218, 8, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            0, 0, 0, 0, 0, 7582, 147, 1589, 5383, 9974, 6740, 103, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            0, 0, 0, 0, 0, 0, 0, 0,
         ],
     ),
     (
@@ -220,9 +215,9 @@ const GOLDEN: &[Golden] = &[
         0xfae8459301b7075a,
         0xea3f6ed7f29e18e7,
         [
-            14637, 60001, 7608, 7608, 7532, 44, 32, 428, 0, 51, 218, 2, 0, 51, 0, 2118, 0, 41, 668,
-            646, 22, 0, 0, 2638, 1196, 0, 2118, 7454, 7608, 7532, 44, 32, 1442, 0, 7576, 125, 1585,
-            5351, 9974, 6740, 103, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            14637, 60001, 7608, 7608, 7532, 44, 32, 428, 0, 51, 218, 2, 0, 0, 41, 668, 646, 22, 0,
+            0, 2638, 1196, 0, 2118, 7454, 1442, 7576, 125, 1585, 5351, 9974, 6740, 103, 0, 0, 0, 0,
+            0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
         ],
     ),
     (
@@ -232,9 +227,9 @@ const GOLDEN: &[Golden] = &[
         0x0417741d3bc82db5,
         0x4d1c0c62acae4475,
         [
-            15180, 60001, 7608, 7608, 7578, 26, 4, 50, 0, 11, 218, 1, 0, 11, 0, 2119, 0, 1, 667,
-            634, 22, 0, 11, 2590, 1183, 0, 2119, 7454, 7608, 7578, 26, 4, 1396, 11, 7604, 24, 1468,
-            6084, 9974, 6740, 103, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            15180, 60001, 7608, 7608, 7578, 26, 4, 50, 0, 11, 218, 1, 0, 0, 1, 667, 634, 22, 0, 11,
+            2590, 1183, 0, 2119, 7454, 1396, 7604, 24, 1468, 6084, 9974, 6740, 103, 0, 0, 0, 0, 0,
+            0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
         ],
     ),
     (
@@ -244,11 +239,10 @@ const GOLDEN: &[Golden] = &[
         0x93cea6e9446aab90,
         0x9ad2b149019af96a,
         [
-            43631, 60010, 5473, 5469, 2975, 703, 1791, 21778, 1105, 4198, 1818, 875, 0, 4198, 206,
-            6818, 236, 2008, 2528, 1592, 886, 2, 48, 7650, 1414, 2, 6818, 4454, 5469, 2975, 703,
-            1791, 6188, 48, 3678, 14215, 19084, 6654, 12364, 4884, 1854, 329, 15522, 7137, 1726,
-            1730, 1718, 1787, 1744, 1721, 1688, 1693, 1715, 1726, 376, 381, 864, 805, 1721, 1150,
-            60, 54,
+            43631, 60010, 5473, 5469, 2975, 703, 1791, 21778, 1105, 4198, 1818, 875, 206, 236,
+            2008, 2528, 1592, 886, 2, 48, 7650, 1414, 2, 6818, 4454, 6188, 3678, 14215, 19084,
+            6654, 12364, 4884, 1854, 329, 1726, 1730, 1718, 1787, 1744, 1721, 1688, 1693, 1715,
+            1726, 376, 381, 864, 805, 1721, 1150, 60, 54,
         ],
     ),
 ];
@@ -256,7 +250,11 @@ const GOLDEN: &[Golden] = &[
 /// Every pin of `GOLDEN`, append-only: `(MODEL_VERSION, digest of
 /// GOLDEN)`. A re-pin appends a row under a bumped [`MODEL_VERSION`],
 /// so checkpoints written by the old model stop matching.
-const PINS: &[(u32, u64)] = &[(1, 0xab0b3a8b191641ab), (2, 0x43ef9756916c442e)];
+const PINS: &[(u32, u64)] = &[
+    (1, 0xab0b3a8b191641ab),
+    (2, 0x43ef9756916c442e),
+    (3, 0xc75b500d19bf1836),
+];
 
 /// FNV-1a digest of the whole `GOLDEN` table.
 fn golden_digest() -> u64 {
@@ -363,12 +361,12 @@ fn warmup_window_is_the_difference_of_two_snapshots() {
                 "{at}: a window word {w} of {a} counts the warmup"
             );
         }
-        if all.faults.injected > 0 {
+        if all.faults.injected() > 0 {
             assert_eq!(
-                (window.faults.injected, window.faults.landed),
+                (window.faults.injected(), window.faults.landed()),
                 (
-                    all.faults.injected - warm.faults.injected,
-                    all.faults.landed - warm.faults.landed
+                    all.faults.injected() - warm.faults.injected(),
+                    all.faults.landed() - warm.faults.landed()
                 ),
                 "{at}"
             );
