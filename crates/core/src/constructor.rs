@@ -11,7 +11,7 @@
 //! at returns whose call was not observed during this walk, where the
 //! target is equally unknown).
 
-use crate::trace::{PushResult, Resolution, Trace, TraceBuilder, MAX_TRACE_LEN};
+use crate::trace::{Resolution, TraceBuilder, MAX_TRACE_LEN};
 use tpc_isa::{Addr, OpClass, Program};
 use tpc_mem::{line_of, PrefetchCache};
 use tpc_predict::{Bias, Bimodal};
@@ -55,7 +55,7 @@ struct Decision {
 }
 
 /// Why [`TraceConstructor::run`] stopped.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Step {
     /// The decode budget is spent; more work remains this trace.
     BudgetSpent,
@@ -63,10 +63,14 @@ pub enum Step {
     /// cache; the engine must fetch its line before this constructor
     /// can proceed.
     NeedLine(Addr),
-    /// A trace completed. The constructor may still have alternative
-    /// paths queued on its internal stack — call
-    /// [`TraceConstructor::backtrack`] before assigning new work.
-    TraceDone(Trace),
+    /// A trace completed. The constructor holds it unbuilt, as
+    /// [`TraceConstructor::completed`], so the engine can file it and
+    /// build it only if the store takes it as a new entry; the payload
+    /// stays out of `Step`. The constructor may still have
+    /// alternative paths queued on its internal stack — call
+    /// [`TraceConstructor::backtrack`] (which drops the completed
+    /// trace) before assigning new work.
+    TraceDone,
     /// The current path ended without completing further traces and
     /// no alternatives remain: the constructor is idle.
     Idle,
@@ -106,9 +110,17 @@ impl TraceConstructor {
         self.builder.is_none() && self.decisions.is_empty()
     }
 
-    /// Whether a trace is currently under construction.
+    /// Whether a trace is currently under construction (or completed
+    /// and not yet dropped by [`TraceConstructor::backtrack`]).
     pub fn is_building(&self) -> bool {
         self.builder.is_some()
+    }
+
+    /// The trace completed by the last [`Step::TraceDone`], still
+    /// unbuilt, until [`TraceConstructor::backtrack`] or
+    /// [`TraceConstructor::abort`] drops it.
+    pub fn completed(&self) -> Option<&TraceBuilder> {
+        self.builder.as_ref().filter(|b| b.is_complete())
     }
 
     /// Begins constructing traces from a fresh trace start point.
@@ -134,10 +146,12 @@ impl TraceConstructor {
         self.resident_line = None;
     }
 
-    /// After [`Step::TraceDone`], resumes the most recent pending
-    /// alternative path, if any. Returns `true` when an alternative
-    /// was resumed, `false` when the constructor is now idle.
+    /// After [`Step::TraceDone`], drops the completed trace and
+    /// resumes the most recent pending alternative path, if any.
+    /// Returns `true` when an alternative was resumed, `false` when
+    /// the constructor is now idle.
     pub fn backtrack(&mut self, program: &Program) -> bool {
+        self.builder = None;
         while let Some(d) = self.decisions.pop() {
             let mut builder = d.builder;
             self.call_stack = d.call_stack;
@@ -156,7 +170,7 @@ impl TraceConstructor {
             // immediately (alignment/full), a one-divergence
             // duplicate is not useful: it is discarded unbuilt and
             // the next alternative is tried.
-            if let Some(next) = builder.push_or_discard(d.branch_pc, op, taken) {
+            if let Some(next) = builder.feed(d.branch_pc, op, taken) {
                 self.pc = next;
                 self.builder = Some(builder);
                 return true;
@@ -184,6 +198,7 @@ impl TraceConstructor {
             let Some(builder) = self.builder.as_mut() else {
                 return Step::Idle;
             };
+            debug_assert!(!builder.is_complete(), "run before backtrack");
             if *budget == 0 {
                 return Step::BudgetSpent;
             }
@@ -252,12 +267,9 @@ impl TraceConstructor {
                 "decision stack exceeded its configured depth"
             );
             *budget -= 1;
-            match builder.push(pc, op, resolution) {
-                PushResult::Continue(next) => self.pc = next,
-                PushResult::Complete(trace) => {
-                    self.builder = None;
-                    return Step::TraceDone(trace);
-                }
+            match builder.feed(pc, op, resolution) {
+                Some(next) => self.pc = next,
+                None => return Step::TraceDone,
             }
         }
     }
@@ -272,6 +284,7 @@ impl TraceConstructor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::Trace;
     use tpc_isa::model::OutcomeModel;
     use tpc_isa::{BranchCond, Op, ProgramBuilder, Reg};
 
@@ -299,8 +312,8 @@ mod tests {
             let mut budget = 4;
             match ctor.run(&mut budget, program, prefetch, bimodal) {
                 Step::BudgetSpent => assert_eq!(budget, 0),
-                Step::TraceDone(t) => {
-                    traces.push(t);
+                Step::TraceDone => {
+                    traces.push(ctor.completed().expect("completed").build());
                     if !ctor.backtrack(program) {
                         break;
                     }
@@ -530,10 +543,12 @@ mod tests {
         ));
         assert_eq!(budget, 0);
         let mut budget = 4;
-        match ctor.run(&mut budget, &p, &prefetch, &bimodal) {
-            Step::TraceDone(t) => assert_eq!((t.len(), budget), (6, 2)),
-            other => panic!("{other:?}"),
-        }
+        assert!(matches!(
+            ctor.run(&mut budget, &p, &prefetch, &bimodal),
+            Step::TraceDone
+        ));
+        let done = ctor.completed().expect("completed");
+        assert_eq!((done.len(), budget), (6, 2));
     }
 
     #[test]
@@ -554,7 +569,7 @@ mod tests {
         ctor.start(Addr::ZERO);
         assert!(matches!(
             ctor.run(&mut 4, &p, &full, &bimodal),
-            Step::TraceDone(_)
+            Step::TraceDone
         ));
         assert!(!ctor.backtrack(&p));
         ctor.start(Addr::ZERO);

@@ -18,7 +18,7 @@
 use crate::constructor::{Step, TraceConstructor};
 use crate::faults::EngineFault;
 use crate::start_stack::{StartPointStack, StartReason};
-use crate::storage::TraceStore;
+use crate::storage::{Filed, TraceStore};
 use crate::trace::{Trace, TraceInstr};
 use std::collections::VecDeque;
 use tpc_isa::{Addr, Op, OpClass, Program};
@@ -111,10 +111,11 @@ pub struct EngineStats {
     pub regions_fetch_bound: u64,
     /// Regions terminated by a rejected buffer fill.
     pub regions_buffer_bound: u64,
-    /// Traces constructed (including duplicates of cached traces).
+    /// Traces constructed (including duplicates of cached traces),
+    /// whether or not the store then needed a new snapshot of them.
     pub traces_built: u64,
-    /// Constructed traces discarded because the trace cache already
-    /// held them.
+    /// Constructed traces discarded, unbuilt, because the trace cache
+    /// already held them.
     pub traces_already_cached: u64,
     /// Successor start points dropped by the worklist bound.
     pub successors_dropped: u64,
@@ -723,7 +724,7 @@ impl PreconEngine {
                         }
                         break;
                     }
-                    Step::TraceDone(trace) => self.file_trace(c, slot, trace, program, store),
+                    Step::TraceDone => self.file_trace(c, slot, program, store),
                     Step::Idle => {
                         self.assignment[c] = None;
                     }
@@ -745,32 +746,37 @@ impl PreconEngine {
         }
     }
 
-    /// Handles a completed trace: queue its successor, store it in
-    /// the buffers (unless already cached), resume alternatives.
-    /// Traces are filed unannotated; the store preprocesses them at
-    /// first use (see
+    /// Handles the trace constructor `ctor` completed: queue its
+    /// successor, file it with the store, resume alternatives. The
+    /// trace stays in the constructor's builder; the store builds it
+    /// only when it takes it as a new entry (see
+    /// [`TraceStore::file_precon`]), and the activity log builds
+    /// every one it records. Traces are filed unannotated; the store
+    /// preprocesses them at first use (see
     /// [`crate::storage::SplitStore::preprocess_at_first_use`]).
     fn file_trace(
         &mut self,
         ctor: usize,
         slot: usize,
-        trace: Trace,
         program: &Program,
         store: &mut dyn TraceStore,
     ) {
+        let done = self.constructors[ctor]
+            .completed()
+            .expect("filed after Step::TraceDone");
         self.stats.traces_built += 1;
         if self.config.record_activity {
             self.activity
-                .push(EngineActivity::TraceEmitted(trace.clone()));
+                .push(EngineActivity::TraceEmitted(done.build()));
         }
         debug_assert!(
-            trace.validate_against(program).is_ok(),
+            done.validate_against(program).is_ok(),
             "constructed trace diverges from static code: {:?}",
-            trace.validate_against(program)
+            done.validate_against(program)
         );
         let region = &mut self.regions[slot];
         let region_id = region.id;
-        if let Some(succ) = trace.successor() {
+        if let Some(succ) = done.successor() {
             if region.seen.binary_search(&succ).is_err() {
                 if region.worklist.len() < self.config.worklist_cap {
                     region.queue(succ);
@@ -780,12 +786,14 @@ impl PreconEngine {
                 }
             }
         }
-        if store.contains_cached(trace.key()) {
-            self.stats.traces_already_cached += 1;
-        } else if !store.fill_precon(trace, region_id) {
-            // Buffer bound: the primary per-region resource limit.
-            self.retire_region(slot, RegionEnd::BufferBound);
-            return;
+        match store.file_precon(done, region_id) {
+            Filed::AlreadyCached => self.stats.traces_already_cached += 1,
+            Filed::Buffered => {}
+            Filed::Rejected => {
+                // Buffer bound: the primary per-region resource limit.
+                self.retire_region(slot, RegionEnd::BufferBound);
+                return;
+            }
         }
         if !self.constructors[ctor].backtrack(program) {
             self.assignment[ctor] = None;

@@ -50,7 +50,9 @@ pub use faults::{
 pub use precon_buffer::PreconBuffers;
 pub use preprocess::{preprocess, PreprocessInfo};
 pub use start_stack::{StartPointStack, StartReason};
-pub use storage::{SplitStore, StoreCounters, StoreFetch, TraceStore, UnifiedConfig, UnifiedStore};
+pub use storage::{
+    Filed, SplitStore, StoreCounters, StoreFetch, TraceStore, UnifiedConfig, UnifiedStore,
+};
 pub use trace::{
     PushResult, Resolution, Trace, TraceBuilder, TraceInstr, TraceStop, ALIGN_QUANTUM,
     MAX_TRACE_LEN,

@@ -1,7 +1,7 @@
 //! Preconstruction buffers (paper Section 3.1).
 
 use crate::slots::{fault_victim, probe_or_free, ProbeSlot};
-use crate::trace::Trace;
+use crate::trace::{Trace, TraceBuilder};
 use tpc_predict::TraceKey;
 
 #[derive(Debug, Clone)]
@@ -114,43 +114,75 @@ impl PreconBuffers {
             .any(|s| s.as_ref().is_some_and(|s| s.trace.key() == key))
     }
 
-    /// Inserts a preconstructed trace tagged with its region.
+    /// Inserts a preconstructed trace tagged with its region,
+    /// replacing an entry that already holds its key.
     ///
     /// Returns `true` if the trace was stored. `false` means the
     /// region-priority policy rejected it (its set holds only
     /// same-or-newer-region traces) — the signal that bounds
     /// preconstruction within a region.
     pub fn fill(&mut self, trace: Trace, region: u64) -> bool {
-        if self.is_disabled() {
+        let Some(i) = self.claim(trace.key(), region) else {
             return false;
-        }
-        let key = trace.key();
-        let range = self.set_range(key);
-        let set = &mut self.slots[range];
-        let ways = set.len();
-        // One pass: refresh an existing entry for the same identity,
-        // or claim a free way.
-        match probe_or_free(set, 0..ways, |s: &Slot| s.trace.key() == key) {
-            ProbeSlot::Match(i) | ProbeSlot::Free(i) => {
-                set[i] = Some(Slot { trace, region });
-                debug_assert!(self.check_invariants().is_ok());
-                return true;
+        };
+        self.slots[i] = Some(Slot { trace, region });
+        debug_assert!(self.check_invariants().is_ok());
+        true
+    }
+
+    /// Files the trace `done` completed, tagged with `region`: the
+    /// same placement as [`PreconBuffers::fill`], but an entry that
+    /// already holds the key is only re-tagged and keeps its stored
+    /// instructions, and the trace is built only for a new entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `done` holds no completed trace and would be built.
+    pub(crate) fn file(&mut self, done: &TraceBuilder, region: u64) -> bool {
+        let key = done.key();
+        let Some(i) = self.claim(key, region) else {
+            return false;
+        };
+        match &mut self.slots[i] {
+            Some(s) if s.trace.key() == key => s.region = region,
+            slot => {
+                *slot = Some(Slot {
+                    trace: done.build(),
+                    region,
+                })
             }
-            ProbeSlot::Evict => {}
-        }
-        // Displace the oldest-region victim, but only if it is
-        // strictly older than the filling region.
-        let victim = set
-            .iter_mut()
-            .min_by_key(|s| s.as_ref().map(|s| s.region).unwrap_or(0))
-            .expect("ways > 0");
-        let victim_region = victim.as_ref().map(|s| s.region).unwrap_or(0);
-        let filled = victim_region < region;
-        if filled {
-            *victim = Some(Slot { trace, region });
         }
         debug_assert!(self.check_invariants().is_ok());
-        filled
+        true
+    }
+
+    /// The slot a fill of `key` from `region` lands in: an entry that
+    /// already holds the key, else a free way, else the
+    /// oldest-region victim if it is strictly older than `region`;
+    /// `None` when the fill is rejected.
+    fn claim(&self, key: TraceKey, region: u64) -> Option<usize> {
+        if self.is_disabled() {
+            return None;
+        }
+        let range = self.set_range(key);
+        let base = range.start;
+        let set = &self.slots[range];
+        let way = match probe_or_free(set, 0..set.len(), |s: &Slot| s.trace.key() == key) {
+            ProbeSlot::Match(i) | ProbeSlot::Free(i) => i,
+            ProbeSlot::Evict => {
+                let (i, victim_region) = set
+                    .iter()
+                    .map(|s| s.as_ref().map_or(0, |s| s.region))
+                    .enumerate()
+                    .min_by_key(|&(_, r)| r)
+                    .expect("ways > 0");
+                if victim_region >= region {
+                    return None;
+                }
+                i
+            }
+        };
+        Some(base + way)
     }
 
     /// Number of resident traces.
@@ -224,15 +256,18 @@ impl PreconBuffers {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{PushResult, Resolution, TraceBuilder};
+    use crate::trace::Resolution;
     use tpc_isa::{Addr, Op};
 
-    fn mk_trace(start: u32) -> Trace {
+    /// A completed, unbuilt one-instruction trace at `start`.
+    fn completed(start: u32) -> TraceBuilder {
         let mut b = TraceBuilder::new(Addr::new(start));
-        match b.push(Addr::new(start), Op::Return, Resolution::None) {
-            PushResult::Complete(t) => t,
-            other => panic!("{other:?}"),
-        }
+        assert_eq!(b.feed(Addr::new(start), Op::Return, Resolution::None), None);
+        b
+    }
+
+    fn mk_trace(start: u32) -> Trace {
+        completed(start).build()
     }
 
     #[test]
@@ -318,11 +353,42 @@ mod tests {
         );
     }
 
+    /// Filing a resident key from a newer region re-tags the entry in
+    /// place: it keeps its stored instructions, and a fill from an
+    /// intermediate region can no longer displace it.
+    #[test]
+    fn filing_a_resident_key_retags_it() {
+        let mut pb = PreconBuffers::with_ways(2, 2);
+        let stored = mk_trace(0);
+        assert!(pb.fill(stored.clone(), 1));
+        assert!(pb.fill(mk_trace(16), 9));
+        assert!(pb.file(&completed(0), 9));
+        let (resident, region) = pb
+            .iter()
+            .find(|(t, _)| t.key() == stored.key())
+            .expect("still resident");
+        assert_eq!(region, 9, "re-tagged");
+        assert!(resident.shares_storage_with(&stored), "not rebuilt");
+        assert!(
+            !pb.fill(mk_trace(32), 7),
+            "region 7 displaces nothing: both entries are region 9"
+        );
+        assert!(pb.contains(stored.key()));
+        // Filing a new key builds it into a free way.
+        let mut pb = PreconBuffers::with_ways(2, 2);
+        assert!(pb.file(&completed(48), 3));
+        assert_eq!(
+            pb.iter().next().map(|(t, r)| (t.start().word(), r)),
+            Some((48, 3))
+        );
+    }
+
     #[test]
     fn disabled_buffers_reject_everything() {
         let mut pb = PreconBuffers::new(0);
         assert!(pb.is_disabled());
         assert!(!pb.fill(mk_trace(0), 1));
+        assert!(!pb.file(&completed(0), 1));
         assert!(pb.take(mk_trace(0).key()).is_none());
         assert_eq!(pb.capacity(), 0);
     }

@@ -16,7 +16,7 @@
 use crate::precon_buffer::PreconBuffers;
 use crate::preprocess::{preprocess, PreprocessInfo};
 use crate::slots::{fault_victim, probe_or_free, ProbeSlot};
-use crate::trace::Trace;
+use crate::trace::{Trace, TraceBuilder};
 use crate::trace_cache::TraceCache;
 use std::sync::Arc;
 use tpc_predict::TraceKey;
@@ -62,12 +62,27 @@ impl StoreCounters {
     }
 }
 
+/// What [`TraceStore::file_precon`] did with a completed trace.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Filed {
+    /// The trace-cache side already holds the trace; it was dropped
+    /// unbuilt.
+    AlreadyCached,
+    /// The preconstruction side took the trace: as a new entry, or by
+    /// re-tagging the entry that already held it.
+    Buffered,
+    /// The replacement policy rejected the fill — the per-region
+    /// resource bound that terminates region exploration.
+    Rejected,
+}
+
 /// Storage for traces: the trace cache plus wherever preconstructed
 /// traces wait. The processor fetches through [`TraceStore::fetch`];
 /// the fill unit inserts through [`TraceStore::fill_demand`]; the
-/// preconstruction engine checks duplicates with
-/// [`TraceStore::contains_cached`] and inserts through
-/// [`TraceStore::fill_precon`].
+/// preconstruction engine files its traces unbuilt through
+/// [`TraceStore::file_precon`]. [`TraceStore::contains_cached`]
+/// followed by [`TraceStore::fill_precon`] is the same filing for a
+/// built trace, replacing an entry that holds its key.
 pub trait TraceStore: std::fmt::Debug {
     /// Processor fetch: probes the trace-cache and preconstruction
     /// sides in parallel; a preconstruction hit is promoted to the
@@ -81,10 +96,27 @@ pub trait TraceStore: std::fmt::Debug {
     /// Fill from the processor's fill unit (slow-path build).
     fn fill_demand(&mut self, trace: Trace);
 
-    /// Fill from the preconstruction engine. Returns `false` when the
-    /// replacement policy rejects the fill — the per-region resource
-    /// bound that terminates region exploration.
+    /// Preconstruction fill of a built trace, tagged with its region;
+    /// an entry already holding the key is replaced. Returns `false`
+    /// when the replacement policy rejects the fill — the per-region
+    /// resource bound that terminates region exploration.
     fn fill_precon(&mut self, trace: Trace, region: u64) -> bool;
+
+    /// Files the trace the preconstruction engine completed in
+    /// `done`, tagged with `region`. It has the outcome of
+    /// [`TraceStore::contains_cached`] then
+    /// [`TraceStore::fill_precon`] of the built trace, and counts the
+    /// same fills, but builds the trace (one allocation) only when it
+    /// claims a new entry: a cached trace is dropped, and a pending
+    /// entry that holds the key is re-tagged with `region` and keeps
+    /// its stored instructions. A key's instructions are fixed, so
+    /// only the stored instance's successor, which nothing reads from
+    /// the store, can differ.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `done` holds no completed trace and would be built.
+    fn file_precon(&mut self, done: &TraceBuilder, region: u64) -> Filed;
 
     /// Aggregate counters.
     fn counters(&self) -> StoreCounters;
@@ -200,6 +232,17 @@ impl TraceStore for SplitStore {
         let ok = self.pb.fill(trace, region);
         self.counters.precon_fills += u64::from(ok);
         ok
+    }
+
+    fn file_precon(&mut self, done: &TraceBuilder, region: u64) -> Filed {
+        if self.tc.contains(done.key()) {
+            Filed::AlreadyCached
+        } else if self.pb.file(done, region) {
+            self.counters.precon_fills += 1;
+            Filed::Buffered
+        } else {
+            Filed::Rejected
+        }
     }
 
     fn counters(&self) -> StoreCounters {
@@ -361,6 +404,44 @@ impl UnifiedStore {
         set * UNIFIED_WAYS..(set + 1) * UNIFIED_WAYS
     }
 
+    /// The slot a preconstruction fill of `key` from `region` lands
+    /// in: an entry anywhere in the set that already holds the key,
+    /// else a free preconstruction way, else the oldest-region
+    /// preconstruction way if it is strictly older than `region`;
+    /// `None` when the fill is rejected. Ticks the LRU clock unless
+    /// no way has the preconstruction role.
+    fn claim_precon(&mut self, key: TraceKey, region: u64) -> Option<usize> {
+        if self.pb_ways == 0 {
+            return None;
+        }
+        self.clock += 1;
+        let range = self.set_range(key);
+        let base = range.start;
+        let tc_ways = UNIFIED_WAYS - self.pb_ways as usize;
+        let slots = &self.slots[range];
+        let way = match probe_or_free(slots, tc_ways..UNIFIED_WAYS, |s: &UnifiedSlot| {
+            s.trace.key() == key
+        }) {
+            ProbeSlot::Match(i) | ProbeSlot::Free(i) => i,
+            ProbeSlot::Evict => {
+                // Region-priority replacement (used demand entries
+                // that ended up in a PB way after a repartition count
+                // as oldest).
+                let (i, victim_region) = slots[tc_ways..]
+                    .iter()
+                    .map(|s| s.as_ref().and_then(|s| s.region).unwrap_or(0))
+                    .enumerate()
+                    .min_by_key(|&(_, r)| r)
+                    .expect("pb_ways >= 1");
+                if victim_region >= region {
+                    return None;
+                }
+                tc_ways + i
+            }
+        };
+        Some(base + way)
+    }
+
     fn maybe_adapt(&mut self) {
         if self.config.epoch_fetches == 0 {
             return;
@@ -461,49 +542,43 @@ impl TraceStore for UnifiedStore {
     }
 
     fn fill_precon(&mut self, trace: Trace, region: u64) -> bool {
-        if self.pb_ways == 0 {
+        let Some(i) = self.claim_precon(trace.key(), region) else {
             return false;
+        };
+        self.slots[i] = Some(UnifiedSlot {
+            trace,
+            region: Some(region),
+            stamp: self.clock,
+        });
+        self.counters.precon_fills += 1;
+        true
+    }
+
+    fn file_precon(&mut self, done: &TraceBuilder, region: u64) -> Filed {
+        let key = done.key();
+        if self.contains_cached(key) {
+            return Filed::AlreadyCached;
         }
-        self.clock += 1;
-        let clock = self.clock;
-        let key = trace.key();
-        let range = self.set_range(key);
-        let tc_ways = UNIFIED_WAYS - self.pb_ways as usize;
-        let slots = &mut self.slots[range];
-        // One pass: refresh the same identity anywhere in the set, or
-        // claim a free preconstruction way.
-        match probe_or_free(slots, tc_ways..UNIFIED_WAYS, |s: &UnifiedSlot| {
-            s.trace.key() == key
-        }) {
-            ProbeSlot::Match(i) | ProbeSlot::Free(i) => {
-                slots[i] = Some(UnifiedSlot {
-                    trace,
-                    region: Some(region),
-                    stamp: clock,
-                });
-                self.counters.precon_fills += 1;
-                return true;
+        let Some(i) = self.claim_precon(key, region) else {
+            return Filed::Rejected;
+        };
+        let stamp = self.clock;
+        match &mut self.slots[i] {
+            // Not demand content (checked above): a pending entry.
+            Some(s) if s.trace.key() == key => {
+                s.region = Some(region);
+                s.stamp = stamp;
             }
-            ProbeSlot::Evict => {}
+            slot => {
+                *slot = Some(UnifiedSlot {
+                    trace: done.build(),
+                    region: Some(region),
+                    stamp,
+                })
+            }
         }
-        // Region-priority replacement (used demand entries that ended
-        // up in a PB way after a repartition count as oldest).
-        let victim = slots[tc_ways..]
-            .iter_mut()
-            .min_by_key(|s| s.as_ref().and_then(|s| s.region).unwrap_or(0))
-            .expect("pb_ways >= 1");
-        let victim_region = victim.as_ref().and_then(|s| s.region).unwrap_or(0);
-        if victim_region < region {
-            *victim = Some(UnifiedSlot {
-                trace,
-                region: Some(region),
-                stamp: clock,
-            });
-            self.counters.precon_fills += 1;
-            true
-        } else {
-            false
-        }
+        self.counters.precon_fills += 1;
+        Filed::Buffered
     }
 
     fn counters(&self) -> StoreCounters {
@@ -569,15 +644,78 @@ impl TraceStore for UnifiedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{PushResult, Resolution, TraceBuilder};
+    use crate::trace::Resolution;
     use tpc_isa::{Addr, Op};
 
-    fn mk_trace(start: u32) -> Trace {
+    /// A completed, unbuilt one-instruction trace at `start`.
+    fn completed(start: u32) -> TraceBuilder {
         let mut b = TraceBuilder::new(Addr::new(start));
-        match b.push(Addr::new(start), Op::Return, Resolution::None) {
-            PushResult::Complete(t) => t,
-            other => panic!("{other:?}"),
+        assert_eq!(b.feed(Addr::new(start), Op::Return, Resolution::None), None);
+        b
+    }
+
+    fn mk_trace(start: u32) -> Trace {
+        completed(start).build()
+    }
+
+    /// `file_precon` buffers a new key and counts the fill, drops a
+    /// cached one without counting, and rejects what the
+    /// replacement policy rejects.
+    fn check_filing(store: &mut dyn TraceStore) {
+        let key = mk_trace(0).key();
+        assert_eq!(store.file_precon(&completed(0), 1), Filed::Buffered);
+        assert_eq!(store.counters().precon_fills, 1);
+        assert!(!store.contains_cached(key));
+        assert!(store.fetch(key).from_precon);
+        assert!(store.contains_cached(key));
+        assert_eq!(store.file_precon(&completed(0), 2), Filed::AlreadyCached);
+        assert_eq!(store.counters().precon_fills, 1);
+        // Fill every preconstruction entry from one region: the next
+        // fill from that region is rejected.
+        let mut start = 16;
+        while store.file_precon(&completed(start), 5) == Filed::Buffered {
+            start += 16;
         }
+        assert_eq!(store.file_precon(&completed(start), 5), Filed::Rejected);
+    }
+
+    #[test]
+    fn split_files_new_cached_and_rejected_traces() {
+        check_filing(&mut SplitStore::new(4, 4));
+    }
+
+    #[test]
+    fn unified_files_new_cached_and_rejected_traces() {
+        check_filing(&mut unified(16, 1, 0));
+    }
+
+    /// Filing a pending key from a newer region re-tags its entry: it
+    /// keeps its stored instructions, counts one fill, and a fill
+    /// from an intermediate region can no longer displace it.
+    #[test]
+    fn unified_filing_a_pending_key_retags_it() {
+        // One set, ways 2 and 3 preconstruction.
+        let mut s = unified(4, 2, 0);
+        let stored = mk_trace(0);
+        let key = stored.key();
+        assert!(s.fill_precon(stored.clone(), 1));
+        assert!(s.fill_precon(mk_trace(16), 9));
+        assert_eq!(s.file_precon(&completed(0), 9), Filed::Buffered);
+        assert_eq!(s.counters().precon_fills, 3);
+        let entry = s
+            .slots
+            .iter()
+            .flatten()
+            .find(|e| e.trace.key() == key)
+            .expect("still resident");
+        assert_eq!(entry.region, Some(9), "re-tagged");
+        assert!(entry.trace.shares_storage_with(&stored), "not rebuilt");
+        assert!(
+            !s.fill_precon(mk_trace(32), 7),
+            "region 7 displaces nothing: both entries are region 9"
+        );
+        let f = s.fetch(key);
+        assert!(f.hit && f.from_precon);
     }
 
     // ---- SplitStore -----------------------------------------------

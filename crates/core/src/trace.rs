@@ -48,6 +48,14 @@ pub enum TraceStop {
 /// preconstruction-buffer promotion, a dispatch-stream handoff — is a
 /// refcount bump, mirroring hardware where these movements are wire
 /// transfers of the same lines, not fresh copies.
+///
+/// The key fixes everything but the successor: the path is a function
+/// of the start and the outcomes, and returns, indirect jumps and
+/// halts end the trace. So one snapshot serves every instance of a
+/// key. The trace stream hands out instances that share the
+/// snapshot of an earlier instance ([`TraceBuilder::instance_of`]),
+/// and the preconstruction engine builds a trace only when the store
+/// takes it as a new entry ([`crate::TraceStore::file_precon`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
     instrs: Arc<[TraceInstr]>,
@@ -105,7 +113,7 @@ impl Trace {
 
     /// The outcome of the `i`-th conditional branch in the trace.
     pub fn branch_outcome(&self, i: u8) -> Option<bool> {
-        (i < self.key.branch_count).then(|| (self.key.outcomes >> i) & 1 == 1)
+        branch_outcome(self.key, i)
     }
 
     /// Preprocessing annotations, when the trace went through the
@@ -153,85 +161,100 @@ impl Trace {
     ///   (traces end only at returns, indirect jumps, halts, the
     ///   length cap, or the alignment boundary — DESIGN.md §selection).
     pub fn validate_against(&self, program: &tpc_isa::Program) -> Result<(), String> {
-        if self.instrs.is_empty() || self.instrs.len() > MAX_TRACE_LEN {
-            return Err(format!("trace length {} out of bounds", self.instrs.len()));
+        validate(&self.instrs, self.key, self.stop, program)
+    }
+}
+
+/// The outcome of the `i`-th conditional branch on `key`'s path.
+fn branch_outcome(key: TraceKey, i: u8) -> Option<bool> {
+    (i < key.branch_count).then(|| (key.outcomes >> i) & 1 == 1)
+}
+
+/// The checks of [`Trace::validate_against`], over a snapshot that
+/// may not be built yet.
+fn validate(
+    instrs: &[TraceInstr],
+    key: TraceKey,
+    stop: TraceStop,
+    program: &tpc_isa::Program,
+) -> Result<(), String> {
+    if instrs.is_empty() || instrs.len() > MAX_TRACE_LEN {
+        return Err(format!("trace length {} out of bounds", instrs.len()));
+    }
+    if key.start != instrs[0].pc {
+        return Err(format!(
+            "key start {:?} != first instruction {:?}",
+            key.start, instrs[0].pc
+        ));
+    }
+    let mut branches = 0u8;
+    for (i, ti) in instrs.iter().enumerate() {
+        match program.fetch(ti.pc) {
+            Some(op) if *op == ti.op => {}
+            Some(op) => {
+                return Err(format!(
+                    "instruction at {:?} diverges from static code: trace {:?}, program {:?}",
+                    ti.pc, ti.op, op
+                ));
+            }
+            None => return Err(format!("address {:?} outside the program", ti.pc)),
         }
-        if self.key.start != self.instrs[0].pc {
-            return Err(format!(
-                "key start {:?} != first instruction {:?}",
-                self.key.start, self.instrs[0].pc
-            ));
-        }
-        let mut branches = 0u8;
-        for (i, ti) in self.instrs.iter().enumerate() {
-            match program.fetch(ti.pc) {
-                Some(op) if *op == ti.op => {}
-                Some(op) => {
+        let expected_next = match ti.op.class() {
+            OpClass::Branch => {
+                let taken = branch_outcome(key, branches)
+                    .ok_or_else(|| format!("branch at {:?} beyond key branch count", ti.pc))?;
+                branches += 1;
+                if taken {
+                    ti.op.static_target()
+                } else {
+                    Some(ti.pc.next())
+                }
+            }
+            OpClass::Jump | OpClass::Call => ti.op.static_target(),
+            // Successors of returns/indirect jumps/halts are
+            // dynamic; they terminate the trace anyway.
+            OpClass::Return | OpClass::IndirectJump | OpClass::Halt => None,
+            _ => Some(ti.pc.next()),
+        };
+        if let Some(next) = instrs.get(i + 1) {
+            match expected_next {
+                Some(e) if e == next.pc => {}
+                Some(e) => {
                     return Err(format!(
-                        "instruction at {:?} diverges from static code: trace {:?}, program {:?}",
-                        ti.pc, ti.op, op
+                        "path break after {:?}: expected {:?}, trace has {:?}",
+                        ti.pc, e, next.pc
                     ));
                 }
-                None => return Err(format!("address {:?} outside the program", ti.pc)),
-            }
-            let expected_next = match ti.op.class() {
-                OpClass::Branch => {
-                    let taken = self
-                        .branch_outcome(branches)
-                        .ok_or_else(|| format!("branch at {:?} beyond key branch count", ti.pc))?;
-                    branches += 1;
-                    if taken {
-                        ti.op.static_target()
-                    } else {
-                        Some(ti.pc.next())
-                    }
-                }
-                OpClass::Jump | OpClass::Call => ti.op.static_target(),
-                // Successors of returns/indirect jumps/halts are
-                // dynamic; they terminate the trace anyway.
-                OpClass::Return | OpClass::IndirectJump | OpClass::Halt => None,
-                _ => Some(ti.pc.next()),
-            };
-            if let Some(next) = self.instrs.get(i + 1) {
-                match expected_next {
-                    Some(e) if e == next.pc => {}
-                    Some(e) => {
-                        return Err(format!(
-                            "path break after {:?}: expected {:?}, trace has {:?}",
-                            ti.pc, e, next.pc
-                        ));
-                    }
-                    None => {
-                        return Err(format!(
-                            "trace continues past terminating instruction at {:?}",
-                            ti.pc
-                        ));
-                    }
+                None => {
+                    return Err(format!(
+                        "trace continues past terminating instruction at {:?}",
+                        ti.pc
+                    ));
                 }
             }
         }
-        if branches != self.key.branch_count {
-            return Err(format!(
-                "key claims {} branches, trace holds {}",
-                self.key.branch_count, branches
-            ));
-        }
-        let last = self.instrs.last().expect("non-empty").op.class();
-        let stop_ok = match self.stop {
-            TraceStop::Return => last == OpClass::Return,
-            TraceStop::IndirectJump => last == OpClass::IndirectJump,
-            TraceStop::Halt => last == OpClass::Halt,
-            TraceStop::Full => self.instrs.len() == MAX_TRACE_LEN,
-            TraceStop::Alignment => self.instrs.iter().any(|ti| ti.op.is_backward_branch(ti.pc)),
-        };
-        if !stop_ok {
-            return Err(format!(
-                "stop kind {:?} inconsistent with trace contents",
-                self.stop
-            ));
-        }
-        Ok(())
     }
+    if branches != key.branch_count {
+        return Err(format!(
+            "key claims {} branches, trace holds {}",
+            key.branch_count, branches
+        ));
+    }
+    let last = instrs.last().expect("non-empty").op.class();
+    let stop_ok = match stop {
+        TraceStop::Return => last == OpClass::Return,
+        TraceStop::IndirectJump => last == OpClass::IndirectJump,
+        TraceStop::Halt => last == OpClass::Halt,
+        TraceStop::Full => instrs.len() == MAX_TRACE_LEN,
+        TraceStop::Alignment => instrs.iter().any(|ti| ti.op.is_backward_branch(ti.pc)),
+    };
+    if !stop_ok {
+        return Err(format!(
+            "stop kind {:?} inconsistent with trace contents",
+            stop
+        ));
+    }
+    Ok(())
 }
 
 /// What the builder wants after accepting an instruction.
@@ -260,12 +283,16 @@ pub enum PushResult {
 /// The caller resolves each control instruction (it knows the branch
 /// outcome — from the dynamic stream on the fill path, from bias
 /// following during preconstruction) and feeds instructions one at a
-/// time via [`TraceBuilder::push`].
+/// time via [`TraceBuilder::push`] or [`TraceBuilder::feed`].
 ///
 /// The instructions accumulate in an inline [`MAX_TRACE_LEN`] array,
-/// so a builder allocates nothing until [`PushResult::Complete`]
-/// copies them into the trace's shared storage, and forking a
-/// builder (the constructors' branch decision points) is a memcpy.
+/// so forking a builder (the constructors' branch decision points) is
+/// a memcpy. A completed builder holds the whole trace: its
+/// [`key`](TraceBuilder::key) and [`successor`](TraceBuilder::successor)
+/// are known before anything allocates, and only
+/// [`build`](TraceBuilder::build) copies the instructions into shared
+/// storage. Callers that may already hold the trace check the key
+/// first and skip the copy.
 #[derive(Debug, Clone)]
 pub struct TraceBuilder {
     start: Addr,
@@ -276,6 +303,8 @@ pub struct TraceBuilder {
     last_backward_branch: Option<usize>,
     call_depth: u32,
     unmatched_return: bool,
+    /// Why the trace ended and its successor, once it has.
+    ended: Option<(TraceStop, Option<Addr>)>,
 }
 
 impl TraceBuilder {
@@ -294,6 +323,7 @@ impl TraceBuilder {
             last_backward_branch: None,
             call_depth: 0,
             unmatched_return: false,
+            ended: None,
         }
     }
 
@@ -307,7 +337,35 @@ impl TraceBuilder {
         self.len == 0
     }
 
-    /// Feeds the next instruction on the path.
+    /// Whether the last fed instruction completed the trace.
+    pub fn is_complete(&self) -> bool {
+        self.ended.is_some()
+    }
+
+    /// The identity of the trace accepted so far: the whole trace's
+    /// once it is complete.
+    #[inline]
+    pub fn key(&self) -> TraceKey {
+        TraceKey {
+            start: self.start,
+            branch_count: self.branch_count,
+            outcomes: self.outcomes,
+        }
+    }
+
+    /// The completed trace's successor (see [`Trace::successor`]);
+    /// `None` also while the trace is incomplete.
+    pub fn successor(&self) -> Option<Addr> {
+        self.ended.and_then(|(_, successor)| successor)
+    }
+
+    /// Instructions accepted so far, in dynamic order.
+    fn instrs(&self) -> &[TraceInstr] {
+        &self.instrs[..self.len]
+    }
+
+    /// Feeds the next instruction on the path and builds the trace it
+    /// completes.
     ///
     /// `resolved` carries the dynamic resolution of control
     /// instructions: for a conditional branch, `Some((taken,
@@ -321,27 +379,19 @@ impl TraceBuilder {
     /// or if a conditional branch is fed without its resolution.
     #[inline]
     pub fn push(&mut self, pc: Addr, op: Op, resolved: Resolution) -> PushResult {
-        match self.accept(pc, op, resolved) {
-            Accepted::Next(next) => PushResult::Continue(next),
-            Accepted::End(stop, successor) => PushResult::Complete(self.complete(stop, successor)),
+        match self.feed(pc, op, resolved) {
+            Some(next) => PushResult::Continue(next),
+            None => PushResult::Complete(self.build()),
         }
     }
 
     /// Feeds the next instruction like [`TraceBuilder::push`], but
-    /// discards a trace the instruction completes instead of building
-    /// it, so it never allocates. Returns the next address, or `None`
-    /// when the trace ended here (the builder is then spent).
-    pub fn push_or_discard(&mut self, pc: Addr, op: Op, resolved: Resolution) -> Option<Addr> {
-        match self.accept(pc, op, resolved) {
-            Accepted::Next(next) => Some(next),
-            Accepted::End(..) => None,
-        }
-    }
-
-    /// Appends one instruction and applies the selection rules.
+    /// builds nothing: returns the next address, or `None` when the
+    /// instruction completed the trace, which the builder then holds
+    /// unbuilt. Dropping the builder discards it without allocating.
     #[inline]
-    fn accept(&mut self, pc: Addr, op: Op, resolved: Resolution) -> Accepted {
-        debug_assert!(self.len < MAX_TRACE_LEN, "trace already complete");
+    pub fn feed(&mut self, pc: Addr, op: Op, resolved: Resolution) -> Option<Addr> {
+        debug_assert!(self.ended.is_none(), "trace already complete");
         debug_assert!(
             self.len > 0 || pc == self.start,
             "first instruction must sit at the trace start"
@@ -350,12 +400,15 @@ impl TraceBuilder {
         self.instrs[idx] = TraceInstr { pc, op };
         self.len += 1;
 
-        let mut next: Option<Addr> = Some(pc.next());
+        let target = match resolved {
+            Resolution::Target(t) => Some(t),
+            _ => None,
+        };
+        let mut next = pc.next();
         match op.class() {
             OpClass::Branch => {
-                let (taken, next_pc) = match resolved {
-                    Resolution::Branch { taken, next_pc } => (taken, next_pc),
-                    _ => panic!("conditional branch requires a Branch resolution"),
+                let Resolution::Branch { taken, next_pc } = resolved else {
+                    panic!("conditional branch requires a Branch resolution");
                 };
                 if taken {
                     self.outcomes |= 1 << self.branch_count;
@@ -364,12 +417,12 @@ impl TraceBuilder {
                 if op.is_backward_branch(pc) {
                     self.last_backward_branch = Some(idx);
                 }
-                next = Some(next_pc);
+                next = next_pc;
             }
-            OpClass::Jump => next = op.static_target(),
+            OpClass::Jump => next = op.static_target().expect("jumps have a static target"),
             OpClass::Call => {
                 self.call_depth += 1;
-                next = op.static_target();
+                next = op.static_target().expect("calls have a static target");
             }
             OpClass::Return => {
                 if self.call_depth > 0 {
@@ -377,74 +430,97 @@ impl TraceBuilder {
                 } else {
                     self.unmatched_return = true;
                 }
-                next = match resolved {
-                    Resolution::Target(t) => Some(t),
-                    _ => None,
-                };
-                return Accepted::End(TraceStop::Return, next);
+                return self.end(TraceStop::Return, target);
             }
-            OpClass::IndirectJump => {
-                next = match resolved {
-                    Resolution::Target(t) => Some(t),
-                    _ => None,
-                };
-                return Accepted::End(TraceStop::IndirectJump, next);
-            }
-            OpClass::Halt => {
-                next = match resolved {
-                    Resolution::Target(t) => Some(t),
-                    _ => None,
-                };
-                return Accepted::End(TraceStop::Halt, next);
-            }
+            OpClass::IndirectJump => return self.end(TraceStop::IndirectJump, target),
+            OpClass::Halt => return self.end(TraceStop::Halt, target),
             _ => {}
         }
         if self.len == MAX_TRACE_LEN {
-            return Accepted::End(TraceStop::Full, next);
+            return self.end(TraceStop::Full, Some(next));
         }
         if let Some(p) = self.last_backward_branch {
             if idx > p && (idx - p).is_multiple_of(ALIGN_QUANTUM) {
-                return Accepted::End(TraceStop::Alignment, next);
+                return self.end(TraceStop::Alignment, Some(next));
             }
         }
-        Accepted::Next(next.expect("non-terminating ops always have a successor"))
+        Some(next)
     }
 
-    fn complete(&mut self, stop: TraceStop, successor: Option<Addr>) -> Trace {
-        // The trace's "end kind" for the return history stack: an
-        // unmatched return pops saved history; an unmatched call
-        // (crossing into a callee) saves it; matched pairs cancel.
-        let end = if self.unmatched_return {
+    /// Marks the trace complete; `feed`'s "no next address".
+    fn end(&mut self, stop: TraceStop, successor: Option<Addr>) -> Option<Addr> {
+        self.ended = Some((stop, successor));
+        None
+    }
+
+    /// The trace's "end kind" for the return history stack: an
+    /// unmatched return pops saved history; an unmatched call
+    /// (crossing into a callee) saves it; matched pairs cancel.
+    fn end_kind(&self) -> TraceEnd {
+        if self.unmatched_return {
             TraceEnd::Return
         } else if self.call_depth > 0 {
             TraceEnd::Call
         } else {
             TraceEnd::Fallthrough
-        };
-        let instrs: Arc<[TraceInstr]> = Arc::from(&self.instrs[..self.len]);
-        self.len = 0;
-        let key = TraceKey {
-            start: instrs.first().expect("complete() only after a push").pc,
-            branch_count: self.branch_count,
-            outcomes: self.outcomes,
-        };
+        }
+    }
+
+    fn stop(&self) -> TraceStop {
+        self.ended.expect("the trace is complete").0
+    }
+
+    /// Builds the completed trace: copies its instructions into a new
+    /// shared snapshot (one allocation).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace is not complete.
+    pub fn build(&self) -> Trace {
         Trace {
-            instrs,
-            key,
-            end,
-            stop,
-            successor,
+            instrs: Arc::from(self.instrs()),
+            key: self.key(),
+            end: self.end_kind(),
+            stop: self.stop(),
+            successor: self.successor(),
             preprocess: None,
         }
     }
-}
 
-/// What [`TraceBuilder::accept`] decided for one instruction.
-enum Accepted {
-    /// The trace continues at this address.
-    Next(Addr),
-    /// The trace ends here, for this reason, with this successor.
-    End(TraceStop, Option<Addr>),
+    /// The completed trace as a new instance of `stored`, a trace
+    /// with the same key: it shares `stored`'s snapshot, allocates
+    /// nothing and carries this instance's successor. Debug builds
+    /// check that the key did fix the contents.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace is not complete.
+    pub fn instance_of(&self, stored: &Trace) -> Trace {
+        debug_assert!(
+            stored.key == self.key()
+                && *stored.instrs == *self.instrs()
+                && stored.end == self.end_kind()
+                && stored.stop == self.stop(),
+            "{self:?} is not an instance of {stored:?}"
+        );
+        Trace {
+            instrs: Arc::clone(&stored.instrs),
+            key: stored.key,
+            end: stored.end,
+            stop: self.stop(),
+            successor: self.successor(),
+            preprocess: None,
+        }
+    }
+
+    /// [`Trace::validate_against`] for the completed, unbuilt trace.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace is not complete.
+    pub fn validate_against(&self, program: &tpc_isa::Program) -> Result<(), String> {
+        validate(self.instrs(), self.key(), self.stop(), program)
+    }
 }
 
 /// Resolution of the just-pushed instruction's control flow, supplied

@@ -9,7 +9,12 @@
 //! constructors whose last poll found their line missing: the line of
 //! the highest-numbered one whose line is neither resident nor in
 //! flight. So no fetch is ever for a line the region already has or
-//! awaits, and the reference asserts that at every fetch. Both engines are driven with the same random programs,
+//! awaits, and the reference asserts that at every fetch. The
+//! reference also files the old way: it builds every completed trace
+//! and files it with `contains_cached` then `fill_precon`, which
+//! replaces a pending entry of the same key, while the engine files
+//! the unbuilt trace through `file_precon`, which re-tags that entry.
+//! Both engines are driven with the same random programs,
 //! branch biases, dispatch, retire and squash streams, slow-path idle
 //! patterns, store traffic and injected faults. After every tick the
 //! engine counters, the activity log, the start stack, the store and
@@ -295,7 +300,10 @@ impl RefEngine {
                         }
                         break;
                     }
-                    Step::TraceDone(trace) => self.file_trace(c, slot, trace, program, store),
+                    Step::TraceDone => {
+                        let trace = self.constructors[c].completed().unwrap().build();
+                        self.file_trace(c, slot, trace, program, store);
+                    }
                     Step::Idle => {
                         self.assignment[c] = None;
                     }

@@ -226,26 +226,36 @@ fn forked_builders_complete_identically() {
     }
 }
 
-/// `push_or_discard` continues exactly where `push` continues and
-/// ends exactly where `push` completes a trace.
+/// `feed` continues exactly where `push` continues and ends exactly
+/// where `push` completes a trace; the builder it leaves then has the
+/// trace's key and successor, builds an equal trace, and makes an
+/// equal instance of it that shares its storage.
 #[test]
-fn discarding_push_agrees_with_push() {
+fn feed_agrees_with_push() {
     let mut rng = XorShift64::new(0x0D15_CA4D);
     for case in 0..CASES {
         let shapes = shapes(&mut rng);
         let at = format!("case {case}: {shapes:?}");
         let mut pc = Addr::new(1000);
-        let (mut pushing, mut discarding) = (TraceBuilder::new(pc), TraceBuilder::new(pc));
+        let (mut pushing, mut feeding) = (TraceBuilder::new(pc), TraceBuilder::new(pc));
         for &shape in &shapes {
             let (op, resolution) = instr(shape, pc);
-            let next = discarding.push_or_discard(pc, op, resolution);
+            let next = feeding.feed(pc, op, resolution);
             match pushing.push(pc, op, resolution) {
                 PushResult::Continue(want) => {
                     assert_eq!(next, Some(want), "{at}");
+                    assert!(!feeding.is_complete(), "{at}");
                     pc = want;
                 }
-                PushResult::Complete(_) => {
+                PushResult::Complete(t) => {
                     assert_eq!(next, None, "{at}");
+                    assert!(feeding.is_complete(), "{at}");
+                    assert_eq!(feeding.key(), t.key(), "{at}");
+                    assert_eq!(feeding.successor(), t.successor(), "{at}");
+                    assert_eq!(feeding.build(), t, "{at}");
+                    let instance = feeding.instance_of(&t);
+                    assert_eq!(instance, t, "{at}");
+                    assert!(instance.shares_storage_with(&t), "{at}");
                     break;
                 }
             }

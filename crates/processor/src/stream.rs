@@ -1,9 +1,10 @@
 //! The correct-path dynamic trace stream.
 
 use std::ops::{Deref, DerefMut};
-use tpc_core::{PushResult, Resolution, Trace, TraceBuilder, MAX_TRACE_LEN};
+use tpc_core::{Resolution, Trace, TraceBuilder, MAX_TRACE_LEN};
 use tpc_exec::{Executor, Frontend};
 use tpc_isa::{OpClass, Program};
+use tpc_predict::TraceKey;
 
 /// A fixed-capacity inline vector of per-instruction values of one
 /// trace, bounded by [`MAX_TRACE_LEN`]: the per-trace metadata
@@ -106,15 +107,32 @@ impl DynTrace {
     }
 }
 
+/// Slots in a [`TraceStream`]'s table of built traces. A trace's
+/// slot is its key's [`TraceKey::hash64`] modulo this.
+pub const TRACE_TABLE_SLOTS: usize = 256;
+
+/// The slot of `key` in a [`TraceStream`]'s table of built traces.
+pub fn trace_table_slot(key: TraceKey) -> usize {
+    (key.hash64() % TRACE_TABLE_SLOTS as u64) as usize // narrow: < 256
+}
+
 /// Chunks a [`Frontend`]'s retired instruction stream into traces
 /// using the shared selection rules, yielding exactly the sequence of
 /// traces the processor fetches on the correct path.
+///
+/// The stream builds each distinct trace once while it stays in a
+/// direct-mapped table of [`TRACE_TABLE_SLOTS`] traces: a completed
+/// trace whose key is in its slot is handed out as a new instance of
+/// the stored trace, sharing its instructions and carrying its own
+/// successor, so only a table miss allocates.
 #[derive(Debug)]
 pub struct TraceStream<F: Frontend> {
     fe: F,
     /// Start of the next trace: the `next_pc` of the last retired
     /// instruction (the frontend entry before anything retires).
     next_start: tpc_isa::Addr,
+    /// The last trace built into each slot.
+    built: Box<[Option<Trace>; TRACE_TABLE_SLOTS]>,
 }
 
 impl<'a> TraceStream<Executor<'a>> {
@@ -135,6 +153,7 @@ impl<F: Frontend> TraceStream<F> {
         TraceStream {
             fe: frontend,
             next_start,
+            built: Box::new(std::array::from_fn(|_| None)),
         }
     }
 
@@ -176,15 +195,17 @@ impl<F: Frontend> TraceStream<F> {
                 }
                 _ => Resolution::None,
             };
-            match b.push(d.pc, d.op, resolution) {
-                PushResult::Continue(_) => {}
-                PushResult::Complete(trace) => {
-                    return DynTrace {
-                        trace,
-                        mem_addrs,
-                        branch_outcomes,
-                    };
-                }
+            if b.feed(d.pc, d.op, resolution).is_none() {
+                let slot = &mut self.built[trace_table_slot(b.key())];
+                let trace = match slot {
+                    Some(stored) if stored.key() == b.key() => b.instance_of(stored),
+                    _ => slot.insert(b.build()).clone(),
+                };
+                return DynTrace {
+                    trace,
+                    mem_addrs,
+                    branch_outcomes,
+                };
             }
         }
     }
@@ -193,6 +214,7 @@ impl<F: Frontend> TraceStream<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tpc_core::PushResult;
     use tpc_workloads::{Benchmark, WorkloadBuilder};
 
     #[test]
@@ -254,6 +276,68 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(keys(()), keys(()));
+    }
+
+    /// Builds the next trace of `fe` afresh, as the stream did before
+    /// it interned traces.
+    fn fresh_trace(fe: &mut Executor<'_>, start: tpc_isa::Addr) -> Trace {
+        let mut b = TraceBuilder::new(start);
+        loop {
+            let d = fe.next_retired();
+            let resolution = match d.op.class() {
+                OpClass::Branch => Resolution::Branch {
+                    taken: d.taken,
+                    next_pc: d.next_pc,
+                },
+                OpClass::Return | OpClass::IndirectJump | OpClass::Halt => {
+                    Resolution::Target(d.next_pc)
+                }
+                _ => Resolution::None,
+            };
+            if let PushResult::Complete(t) = b.push(d.pc, d.op, resolution) {
+                return t;
+            }
+        }
+    }
+
+    /// On every benchmark profile the interned stream yields, trace
+    /// for trace, what building each trace afresh yields, successor
+    /// included; a key still in its table slot shares the stored
+    /// instructions, and every other trace gets storage of its own.
+    #[test]
+    fn interned_traces_equal_fresh_builds() {
+        for benchmark in Benchmark::ALL {
+            let p = WorkloadBuilder::new(benchmark).seed(1).build();
+            let mut interned = TraceStream::new(&p);
+            let mut fe = Executor::new(&p);
+            let mut table: Vec<Option<Trace>> = vec![None; TRACE_TABLE_SLOTS];
+            let mut shared = 0;
+            for i in 0..5_000 {
+                let start = fe.pc();
+                let dt = interned.next_trace();
+                let fresh = fresh_trace(&mut fe, start);
+                assert_eq!(dt.trace, fresh, "{benchmark:?} trace {i}");
+                assert_eq!(dt.trace.successor(), fresh.successor());
+                let slot = trace_table_slot(dt.trace.key());
+                match &table[slot] {
+                    Some(stored) if stored.key() == dt.trace.key() => {
+                        assert!(dt.trace.shares_storage_with(stored), "{benchmark:?} {i}");
+                        shared += 1;
+                    }
+                    _ => {
+                        assert!(
+                            table
+                                .iter()
+                                .flatten()
+                                .all(|t| !dt.trace.shares_storage_with(t)),
+                            "{benchmark:?} trace {i}: a table miss reuses storage"
+                        );
+                        table[slot] = Some(dt.trace);
+                    }
+                }
+            }
+            assert!(shared > 0, "{benchmark:?}: no trace shared storage");
+        }
     }
 
     #[test]

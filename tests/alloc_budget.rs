@@ -1,13 +1,17 @@
 //! Allocation budget of the simulator's hot path, and the heap
 //! footprint of a freshly constructed simulator.
 //!
-//! Over a warmed-up measure window the simulator may allocate once
-//! per trace that leaves the stream (its shared instruction
-//! snapshot), once per trace the preconstruction engine builds, and
-//! once per preprocessing run (the shared annotations: one per
-//! slow-path build and one per preconstructed trace at its first
-//! fetch), and nothing else, also while faults are injected into the
-//! engine and the store. Anything that allocates per cycle, per
+//! Over a warmed-up measure window the simulator may allocate only
+//! what its layers must: the trace stream once per miss in its table
+//! of built traces (charged at exactly what a bare `TraceStream`
+//! allocates over the window's traces, whose count a model of the
+//! table bounds), the preconstruction engine once per fill the store
+//! accepts (a trace the store already holds is not built), and once
+//! per preprocessing run (the shared annotations: one per slow-path
+//! build and one per preconstructed trace at its first fetch), and
+//! nothing else, also while faults are injected into the engine and
+//! the store. A stream that bypasses its table, an engine that builds
+//! the traces it drops, or anything that allocates per cycle, per
 //! constructor step, per region or per injected fault blows the
 //! budget.
 //!
@@ -18,7 +22,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use trace_preconstruction::core::FaultPlan;
-use trace_preconstruction::processor::{SimConfig, SimStats, Simulator};
+use trace_preconstruction::isa::Program;
+use trace_preconstruction::processor::stream::{trace_table_slot, TRACE_TABLE_SLOTS};
+use trace_preconstruction::processor::{SimConfig, SimStats, Simulator, TraceStream};
 use trace_preconstruction::workloads::{Benchmark, WorkloadBuilder};
 
 thread_local! {
@@ -75,6 +81,25 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 const WARMUP: u64 = 200_000;
 const MEASURE: u64 = 200_000;
 
+/// Allocations a bare `TraceStream` over `program` makes for its
+/// traces `from..to`, and the misses a model of its table of built
+/// traces predicts for them.
+fn stream_allocs(program: &Program, from: u64, to: u64) -> (u64, u64) {
+    let mut stream = TraceStream::new(program);
+    let mut table = vec![None; TRACE_TABLE_SLOTS];
+    let (mut allocs, mut misses) = (0, 0);
+    for i in 0..to {
+        let before = ALLOCS.with(Cell::get);
+        let key = stream.next_trace().trace.key();
+        if i >= from {
+            allocs += ALLOCS.with(Cell::get) - before;
+            misses += u64::from(table[trace_table_slot(key)] != Some(key));
+        }
+        table[trace_table_slot(key)] = Some(key);
+    }
+    (allocs, misses)
+}
+
 /// Runs a warmed-up window of `config` on `benchmark`; returns the
 /// window's allocation count and its budget.
 fn window(benchmark: Benchmark, config: SimConfig) -> (u64, u64, String) {
@@ -88,8 +113,15 @@ fn window(benchmark: Benchmark, config: SimConfig) -> (u64, u64, String) {
     let allocs = ALLOCS.with(Cell::get) - allocs_before;
     let after = sim.stats();
 
-    let retired = after.retired_traces - before.retired_traces;
-    let built = after.engine.traces_built - before.engine.traces_built;
+    // The simulator fetches each trace it takes from the stream once,
+    // and holds at most one taken but not yet fetched: the window took
+    // traces from within `before.trace_fetches..after.trace_fetches + 1`.
+    let (streamed, misses) = stream_allocs(&program, before.trace_fetches, after.trace_fetches + 1);
+    assert!(
+        streamed <= misses,
+        "{benchmark:?}: the bare stream allocated {streamed} times for {misses} table misses"
+    );
+    let filled = after.store.precon_fills - before.store.precon_fills;
     // With preprocessing on, every slow-path build (one per miss) and
     // every preconstructed trace at its first fetch (one per buffer
     // hit) is preprocessed once; one slow build may straddle each
@@ -101,12 +133,13 @@ fn window(benchmark: Benchmark, config: SimConfig) -> (u64, u64, String) {
     } else {
         0
     };
-    // Retired traces stand in for the traces that left the stream:
-    // the two differ only by the traces in flight at the window edges.
-    let budget = retired + built + preprocessed;
+    let budget = streamed + filled + preprocessed;
     let detail = format!(
         "{benchmark:?}: {allocs} allocations in the window; budget {budget} = \
-         {retired} retired traces + {built} built + {preprocessed} preprocess runs"
+         {streamed} stream + {filled} precon fills + {preprocessed} preprocess runs \
+         ({} traces fetched, {} built by the engine)",
+        after.trace_fetches - before.trace_fetches,
+        after.engine.traces_built - before.engine.traces_built
     );
     (allocs, budget, detail)
 }
