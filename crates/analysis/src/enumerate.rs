@@ -12,7 +12,8 @@
 //! points.
 //!
 //! [`StaticEnumeration`] materialises both sets and exposes
-//! [`StaticEnumeration::check_activity`], the conformance oracle used
+//! [`StaticEnumeration::is_valid_push`] and
+//! [`StaticEnumeration::check_trace`], the conformance oracle used
 //! by the differential suites: any engine activity outside the static
 //! sets is a bug in the engine (or in this analysis — either way a
 //! divergence worth failing on).
@@ -30,10 +31,7 @@
 //! never produce a false divergence.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use tpc_core::{
-    EngineActivity, PushResult, Resolution, StartReason, Trace, TraceBuilder, TraceKey,
-    ALIGN_QUANTUM,
-};
+use tpc_core::{PushResult, Resolution, StartReason, Trace, TraceBuilder, TraceKey, ALIGN_QUANTUM};
 use tpc_isa::{Addr, Op, OpClass, Program};
 use tpc_workloads::StaticBias;
 
@@ -89,10 +87,9 @@ impl StaticEnumeration {
         }
 
         // Seed the closure: push points, plus the mod-4 alignment
-        // lattice the engine seeds loop-exit regions with when
-        // `lattice_seed_loop_exits` is on. Including the lattice
-        // unconditionally over-approximates the default configuration
-        // — sound for a conformance set.
+        // lattice past each loop exit. The engine seeds a region only
+        // at its start point, so the lattice over-approximates what
+        // it can start at — sound for a conformance set.
         let mut seeds: BTreeSet<u32> = call_return_points.clone();
         for &p in &loop_exit_points {
             for k in 0..ALIGN_QUANTUM as u32 {
@@ -346,27 +343,6 @@ impl StaticEnumeration {
         }
         Ok(())
     }
-
-    /// Conformance check for one engine activity record: push
-    /// validity for start points, static constructibility for emitted
-    /// traces.
-    pub fn check_activity(&self, activity: &EngineActivity) -> Result<(), String> {
-        match activity {
-            EngineActivity::StartPointPushed { addr, reason, .. } => {
-                if self.is_valid_push(*addr, *reason) {
-                    Ok(())
-                } else {
-                    Err(format!(
-                        "start point {addr:?} pushed with reason {reason:?} has no matching construct at {:?}",
-                        Addr::new(addr.word().wrapping_sub(1))
-                    ))
-                }
-            }
-            EngineActivity::TraceEmitted(trace) => self
-                .check_trace(trace)
-                .map_err(|e| format!("emitted trace {:?}: {e}", trace.key())),
-        }
-    }
 }
 
 /// Result of the bias-following (measurement) enumeration.
@@ -608,7 +584,6 @@ mod tests {
             other => panic!("{other:?}"),
         };
         e.check_trace(&t).unwrap();
-        e.check_activity(&EngineActivity::TraceEmitted(t)).unwrap();
     }
 
     #[test]
@@ -650,26 +625,6 @@ mod tests {
         };
         let err = e.check_trace(&t).unwrap_err();
         assert!(err.contains("diverges"), "{err}");
-    }
-
-    #[test]
-    fn push_conformance_via_activity() {
-        let p = call_loop_program();
-        let e = StaticEnumeration::build(&p);
-        assert!(e
-            .check_activity(&EngineActivity::StartPointPushed {
-                addr: Addr::new(1),
-                reason: StartReason::CallReturn,
-                seq: 7,
-            })
-            .is_ok());
-        assert!(e
-            .check_activity(&EngineActivity::StartPointPushed {
-                addr: Addr::new(5),
-                reason: StartReason::LoopExit,
-                seq: 7,
-            })
-            .is_err());
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! * [`StaticEnumeration`] — the statically legal region start points
 //!   (the instruction after each call, the fall-through of each
 //!   backward branch) and the closure of trace starts reachable from
-//!   them, with [`StaticEnumeration::check_activity`] as the
+//!   them, with [`StaticEnumeration::is_valid_push`] and
+//!   [`StaticEnumeration::check_trace`] as the
 //!   conformance oracle the differential suites run against every
 //!   start point the simulator pushes and every trace the
 //!   constructors emit;

@@ -273,12 +273,6 @@ impl TraceConstructor {
             }
         }
     }
-
-    /// Pending alternative paths on the internal decision stack
-    /// (bounded by the configured decision depth).
-    pub fn pending_decisions(&self) -> usize {
-        self.decisions.len()
-    }
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@ use crate::constructor::{Step, TraceConstructor};
 use crate::faults::EngineFault;
 use crate::start_stack::{StartPointStack, StartReason};
 use crate::storage::{Filed, TraceStore};
-use crate::trace::{Trace, TraceInstr};
+use crate::trace::{TraceBuilder, TraceInstr};
 use std::collections::VecDeque;
 use tpc_isa::{Addr, Op, OpClass, Program};
 use tpc_mem::{AccessKind, InstrCache, PrefetchCache};
@@ -53,18 +53,9 @@ pub struct EngineConfig {
     pub decode_width: u32,
     /// Trace start points a region worklist can hold.
     pub worklist_cap: usize,
-    /// Seed loop-exit regions at all four phases of the mod-4
-    /// alignment lattice instead of only the branch fall-through.
-    /// Costs extra fetch/buffer resources; measured as an ablation.
-    pub lattice_seed_loop_exits: bool,
     /// I-cache lines the engine may fetch per idle cycle (the paper
     /// uses the single idle slow-path port: 1).
     pub fetch_width: u32,
-    /// Record every start-point push and constructed trace into an
-    /// activity log drained via [`PreconEngine::take_activity`]
-    /// (conformance checking against the static enumeration; off in
-    /// normal simulation).
-    pub record_activity: bool,
 }
 
 impl Default for EngineConfig {
@@ -80,9 +71,7 @@ impl Default for EngineConfig {
             decision_depth: 3,
             decode_width: 4,
             worklist_cap: 8,
-            lattice_seed_loop_exits: false,
             fetch_width: 1,
-            record_activity: false,
         }
     }
 }
@@ -159,28 +148,29 @@ impl EngineStats {
     }
 }
 
-/// One observable engine action, recorded when
-/// [`EngineConfig::record_activity`] is set. The differential oracle
-/// drains these with [`PreconEngine::take_activity`] and checks each
-/// against the static enumeration computed by `tpc-analysis`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EngineActivity {
-    /// A region start point was offered to the start-point stack
-    /// (recorded whether or not deduplication accepted it).
-    StartPointPushed {
-        /// The region start address (instruction after the call or
-        /// backward branch that triggered it).
-        addr: Addr,
-        /// Why the start point was pushed.
-        reason: StartReason,
-        /// Dispatch sequence number of the triggering instruction.
-        seq: u64,
-    },
-    /// A constructor completed a trace (recorded before the
-    /// duplicate-suppression and buffer-fill steps, so dropped traces
-    /// are checked too).
-    TraceEmitted(Trace),
+/// Hooks through which a run of the engine is observed (see
+/// [`PreconEngine::with_probe`]). Every hook defaults to doing
+/// nothing; the engine never reads its probe, so observing a run
+/// cannot change it.
+pub trait EngineProbe {
+    /// A region start point was offered to the start-point stack,
+    /// accepted or not: `addr` follows the call or backward branch
+    /// dispatched as number `seq`.
+    #[inline]
+    fn start_point(&mut self, _addr: Addr, _reason: StartReason, _seq: u64) {}
+
+    /// A constructor completed `trace`, which the store then filed as
+    /// `filed`. The trace is unbuilt: a probe that needs a
+    /// [`crate::Trace`] calls [`TraceBuilder::build`].
+    #[inline]
+    fn trace_emitted(&mut self, _trace: &TraceBuilder, _filed: Filed) {}
 }
+
+/// The probe that observes nothing, and compiles to nothing.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NoProbe;
+
+impl EngineProbe for NoProbe {}
 
 /// One region slot, paired with one prefetch cache. A slot is reused
 /// in place: activating a region clears its buffers but keeps their
@@ -201,12 +191,20 @@ struct Region {
 }
 
 impl Region {
+    /// A free slot, its buffers sized for any region. `seen` is
+    /// sized for every start a region can queue: one per instruction
+    /// its prefetch cache holds (a start is walked from a resident
+    /// line), one per constructor parked on its start's line, and a
+    /// full worklist. Only constructors killed by injected faults can
+    /// push a region past that.
     fn new(config: &EngineConfig) -> Self {
         Region {
             id: 0,
             prefetch: PrefetchCache::new(config.prefetch_capacity),
-            worklist: VecDeque::with_capacity(worklist_bound(config)),
-            seen: Vec::new(),
+            worklist: VecDeque::with_capacity(config.worklist_cap),
+            seen: Vec::with_capacity(
+                config.prefetch_capacity as usize + config.constructors + config.worklist_cap,
+            ),
             pending: None,
         }
     }
@@ -218,13 +216,6 @@ impl Region {
             self.worklist.push_back(addr);
         }
     }
-}
-
-/// Most entries a region worklist may hold. Lattice seeding may plant
-/// up to `ALIGN_QUANTUM` initial entries, so the bound is the max of
-/// that and the configured cap.
-fn worklist_bound(config: &EngineConfig) -> usize {
-    config.worklist_cap.max(crate::trace::ALIGN_QUANTUM)
 }
 
 /// The `salt`-chosen index among `0..n` satisfying `pred`, if any.
@@ -260,8 +251,12 @@ const MAX_MASK_SLOTS: usize = 64;
 /// `next_land` is the earliest pending arrival. A constructor blocked
 /// on a missing line is *parked* until that line lands in its region:
 /// it does not poll its prefetch cache.
+///
+/// The engine calls its [`EngineProbe`] `P` at every start-point push
+/// and every emitted trace; the default, [`NoProbe`], observes
+/// nothing and costs nothing.
 #[derive(Debug)]
-pub struct PreconEngine {
+pub struct PreconEngine<P: EngineProbe = NoProbe> {
     config: EngineConfig,
     stack: StartPointStack,
     regions: Vec<Region>,
@@ -287,21 +282,35 @@ pub struct PreconEngine {
     stalled: u64,
     next_region_id: u64,
     stats: EngineStats,
-    activity: Vec<EngineActivity>,
+    /// The probe observing this engine; the engine only calls its
+    /// hooks.
+    pub probe: P,
 }
 
 impl PreconEngine {
-    /// Creates an engine. The engine does not own the trace storage:
-    /// the preconstruction buffers (or the unified store's
-    /// preconstruction ways) are passed into [`PreconEngine::tick`]
-    /// by the processor, which probes them in parallel with its trace
-    /// cache.
+    /// Creates an engine that nobody observes. The engine does not
+    /// own the trace storage: the preconstruction buffers (or the
+    /// unified store's preconstruction ways) are passed into
+    /// [`PreconEngine::tick`] by the processor, which probes them in
+    /// parallel with its trace cache.
     ///
     /// # Panics
     ///
     /// Panics if `prefetch_caches` or `constructors` exceeds 64: the
     /// engine indexes both with one bit each in a `u64` mask.
     pub fn new(config: EngineConfig) -> Self {
+        PreconEngine::with_probe(config, NoProbe)
+    }
+}
+
+impl<P: EngineProbe> PreconEngine<P> {
+    /// Creates an engine observed by `probe` (see
+    /// [`PreconEngine::new`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`PreconEngine::new`] does.
+    pub fn with_probe(config: EngineConfig, probe: P) -> Self {
         for (field, n) in [
             ("prefetch_caches", config.prefetch_caches),
             ("constructors", config.constructors),
@@ -334,7 +343,7 @@ impl PreconEngine {
             stalled: 0,
             next_region_id: 1,
             stats: EngineStats::default(),
-            activity: Vec::new(),
+            probe,
             config,
         }
     }
@@ -353,12 +362,6 @@ impl PreconEngine {
     /// counters) for diagnostics and invariant checking.
     pub fn start_stack(&self) -> &StartPointStack {
         &self.stack
-    }
-
-    /// Drains the activity log accumulated since the last call.
-    /// Always empty unless [`EngineConfig::record_activity`] is set.
-    pub fn take_activity(&mut self) -> Vec<EngineActivity> {
-        std::mem::take(&mut self.activity)
     }
 
     /// Checks the engine's structural invariants:
@@ -422,7 +425,8 @@ impl PreconEngine {
                 return Err(format!("constructor {c}: stall mask out of sync"));
             }
         }
-        let worklist_bound = worklist_bound(&self.config);
+        // A region's own start is queued whatever the cap.
+        let worklist_cap = self.config.worklist_cap.max(1);
         for (i, region) in self.regions.iter().enumerate() {
             let live = self.live & 1 << i != 0;
             for (name, mask, holds) in [
@@ -434,12 +438,12 @@ impl PreconEngine {
                     return Err(format!("region slot {i}: {name} mask bit out of sync"));
                 }
             }
-            if live && region.worklist.len() > worklist_bound {
+            if live && region.worklist.len() > worklist_cap {
                 return Err(format!(
                     "region {} worklist holds {} entries, cap is {}",
                     region.id,
                     region.worklist.len(),
-                    worklist_bound
+                    worklist_cap
                 ));
             }
         }
@@ -488,13 +492,7 @@ impl PreconEngine {
         };
         if let Some(reason) = reason {
             self.stats.start_points_observed += 1;
-            if self.config.record_activity {
-                self.activity.push(EngineActivity::StartPointPushed {
-                    addr: pc.next(),
-                    reason,
-                    seq,
-                });
-            }
+            self.probe.start_point(pc.next(), reason, seq);
             self.stack.push(pc.next(), reason, seq);
         }
         // Catch-up: the processor reached a region being explored.
@@ -583,28 +581,13 @@ impl PreconEngine {
     fn activate_regions(&mut self) {
         for slot in bits(self.all_slots & !self.live) {
             let Some(sp) = self.stack.pop() else { break };
-            // Loop-exit regions are seeded at all four phases of the
-            // mod-4 alignment lattice: the processor's trace that
-            // straddles the loop exit ends a multiple of four
-            // instructions past the backward branch, so its next
-            // trace starts at `addr + 4k` for some k — seeding every
-            // phase guarantees one seed lands on the lattice the
-            // processor will actually use (paper Section 2.2).
-            let seeds = match sp.reason {
-                StartReason::LoopExit if self.config.lattice_seed_loop_exits => {
-                    crate::trace::ALIGN_QUANTUM as u32
-                }
-                _ => 1,
-            };
             let region = &mut self.regions[slot];
             region.id = self.next_region_id;
             region.prefetch.clear();
             region.worklist.clear();
             region.seen.clear();
             region.pending = None;
-            for k in 0..seeds {
-                region.queue(sp.addr + k * crate::trace::ALIGN_QUANTUM as u32);
-            }
+            region.queue(sp.addr);
             self.starts[slot] = sp.addr;
             self.live |= 1 << slot;
             self.work |= 1 << slot;
@@ -747,12 +730,11 @@ impl PreconEngine {
     }
 
     /// Handles the trace constructor `ctor` completed: queue its
-    /// successor, file it with the store, resume alternatives. The
-    /// trace stays in the constructor's builder; the store builds it
-    /// only when it takes it as a new entry (see
-    /// [`TraceStore::file_precon`]), and the activity log builds
-    /// every one it records. Traces are filed unannotated; the store
-    /// preprocesses them at first use (see
+    /// successor, file it with the store, show it to the probe,
+    /// resume alternatives. The trace stays in the constructor's
+    /// builder; the store builds it only when it takes it as a new
+    /// entry (see [`TraceStore::file_precon`]). Traces are filed
+    /// unannotated; the store preprocesses them at first use (see
     /// [`crate::storage::SplitStore::preprocess_at_first_use`]).
     fn file_trace(
         &mut self,
@@ -765,10 +747,6 @@ impl PreconEngine {
             .completed()
             .expect("filed after Step::TraceDone");
         self.stats.traces_built += 1;
-        if self.config.record_activity {
-            self.activity
-                .push(EngineActivity::TraceEmitted(done.build()));
-        }
         debug_assert!(
             done.validate_against(program).is_ok(),
             "constructed trace diverges from static code: {:?}",
@@ -786,9 +764,11 @@ impl PreconEngine {
                 }
             }
         }
-        match store.file_precon(done, region_id) {
+        let filed = store.file_precon(done, region_id);
+        self.probe.trace_emitted(done, filed);
+        match filed {
             Filed::AlreadyCached => self.stats.traces_already_cached += 1,
-            Filed::Buffered => {}
+            Filed::NewEntry | Filed::Retagged => {}
             Filed::Rejected => {
                 // Buffer bound: the primary per-region resource limit.
                 self.retire_region(slot, RegionEnd::BufferBound);

@@ -18,7 +18,8 @@
 //!   an internal decision stack.
 //! * [`engine`] — the preconstruction engine tying it together:
 //!   region management over four prefetch caches and four parallel
-//!   constructors, driven one tick per cycle by the processor.
+//!   constructors, driven one tick per cycle by the processor, and
+//!   observed through a statically dispatched [`EngineProbe`].
 //! * [`mod@preprocess`] — the extended-pipeline trace preprocessing
 //!   (instruction scheduling, constant propagation, combined
 //!   shift-add ALU) of Section 6.
@@ -42,7 +43,7 @@ pub mod storage;
 pub mod trace;
 pub mod trace_cache;
 
-pub use engine::{EngineActivity, EngineConfig, EngineStats, PreconEngine};
+pub use engine::{EngineConfig, EngineProbe, EngineStats, NoProbe, PreconEngine};
 pub use faults::{
     EngineFault, FaultEvent, FaultEvents, FaultKind, FaultPlan, FaultState, FaultStats, FAULTS_ALL,
     NUM_FAULT_KINDS,

@@ -1,6 +1,7 @@
 //! Preconstruction buffers (paper Section 3.1).
 
 use crate::slots::{fault_victim, probe_or_free, ProbeSlot};
+use crate::storage::Filed;
 use crate::trace::{Trace, TraceBuilder};
 use tpc_predict::TraceKey;
 
@@ -134,26 +135,32 @@ impl PreconBuffers {
     /// same placement as [`PreconBuffers::fill`], but an entry that
     /// already holds the key is only re-tagged and keeps its stored
     /// instructions, and the trace is built only for a new entry.
+    /// Returns [`Filed::NewEntry`], [`Filed::Retagged`] or
+    /// [`Filed::Rejected`].
     ///
     /// # Panics
     ///
     /// Panics if `done` holds no completed trace and would be built.
-    pub(crate) fn file(&mut self, done: &TraceBuilder, region: u64) -> bool {
+    pub(crate) fn file(&mut self, done: &TraceBuilder, region: u64) -> Filed {
         let key = done.key();
         let Some(i) = self.claim(key, region) else {
-            return false;
+            return Filed::Rejected;
         };
-        match &mut self.slots[i] {
-            Some(s) if s.trace.key() == key => s.region = region,
+        let filed = match &mut self.slots[i] {
+            Some(s) if s.trace.key() == key => {
+                s.region = region;
+                Filed::Retagged
+            }
             slot => {
                 *slot = Some(Slot {
                     trace: done.build(),
                     region,
-                })
+                });
+                Filed::NewEntry
             }
-        }
+        };
         debug_assert!(self.check_invariants().is_ok());
-        true
+        filed
     }
 
     /// The slot a fill of `key` from `region` lands in: an entry that
@@ -362,7 +369,7 @@ mod tests {
         let stored = mk_trace(0);
         assert!(pb.fill(stored.clone(), 1));
         assert!(pb.fill(mk_trace(16), 9));
-        assert!(pb.file(&completed(0), 9));
+        assert_eq!(pb.file(&completed(0), 9), Filed::Retagged);
         let (resident, region) = pb
             .iter()
             .find(|(t, _)| t.key() == stored.key())
@@ -376,7 +383,7 @@ mod tests {
         assert!(pb.contains(stored.key()));
         // Filing a new key builds it into a free way.
         let mut pb = PreconBuffers::with_ways(2, 2);
-        assert!(pb.file(&completed(48), 3));
+        assert_eq!(pb.file(&completed(48), 3), Filed::NewEntry);
         assert_eq!(
             pb.iter().next().map(|(t, r)| (t.start().word(), r)),
             Some((48, 3))
@@ -388,7 +395,7 @@ mod tests {
         let mut pb = PreconBuffers::new(0);
         assert!(pb.is_disabled());
         assert!(!pb.fill(mk_trace(0), 1));
-        assert!(!pb.file(&completed(0), 1));
+        assert_eq!(pb.file(&completed(0), 1), Filed::Rejected);
         assert!(pb.take(mk_trace(0).key()).is_none());
         assert_eq!(pb.capacity(), 0);
     }

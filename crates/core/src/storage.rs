@@ -68,9 +68,13 @@ pub enum Filed {
     /// The trace-cache side already holds the trace; it was dropped
     /// unbuilt.
     AlreadyCached,
-    /// The preconstruction side took the trace: as a new entry, or by
-    /// re-tagging the entry that already held it.
-    Buffered,
+    /// The preconstruction side took the trace as a new entry, built
+    /// for it (the filing's one allocation).
+    NewEntry,
+    /// A pending preconstruction entry already held the trace: it was
+    /// re-tagged with the filing region and kept its stored
+    /// instructions, so nothing was built.
+    Retagged,
     /// The replacement policy rejected the fill — the per-region
     /// resource bound that terminates region exploration.
     Rejected,
@@ -236,13 +240,11 @@ impl TraceStore for SplitStore {
 
     fn file_precon(&mut self, done: &TraceBuilder, region: u64) -> Filed {
         if self.tc.contains(done.key()) {
-            Filed::AlreadyCached
-        } else if self.pb.file(done, region) {
-            self.counters.precon_fills += 1;
-            Filed::Buffered
-        } else {
-            Filed::Rejected
+            return Filed::AlreadyCached;
         }
+        let filed = self.pb.file(done, region);
+        self.counters.precon_fills += u64::from(filed != Filed::Rejected);
+        filed
     }
 
     fn counters(&self) -> StoreCounters {
@@ -563,22 +565,23 @@ impl TraceStore for UnifiedStore {
             return Filed::Rejected;
         };
         let stamp = self.clock;
+        self.counters.precon_fills += 1;
         match &mut self.slots[i] {
             // Not demand content (checked above): a pending entry.
             Some(s) if s.trace.key() == key => {
                 s.region = Some(region);
                 s.stamp = stamp;
+                Filed::Retagged
             }
             slot => {
                 *slot = Some(UnifiedSlot {
                     trace: done.build(),
                     region: Some(region),
                     stamp,
-                })
+                });
+                Filed::NewEntry
             }
         }
-        self.counters.precon_fills += 1;
-        Filed::Buffered
     }
 
     fn counters(&self) -> StoreCounters {
@@ -658,22 +661,23 @@ mod tests {
         completed(start).build()
     }
 
-    /// `file_precon` buffers a new key and counts the fill, drops a
-    /// cached one without counting, and rejects what the
-    /// replacement policy rejects.
+    /// `file_precon` buffers a new key and counts the fill, re-tags a
+    /// pending one and counts it too, drops a cached one without
+    /// counting, and rejects what the replacement policy rejects.
     fn check_filing(store: &mut dyn TraceStore) {
         let key = mk_trace(0).key();
-        assert_eq!(store.file_precon(&completed(0), 1), Filed::Buffered);
-        assert_eq!(store.counters().precon_fills, 1);
+        assert_eq!(store.file_precon(&completed(0), 1), Filed::NewEntry);
+        assert_eq!(store.file_precon(&completed(0), 2), Filed::Retagged);
+        assert_eq!(store.counters().precon_fills, 2);
         assert!(!store.contains_cached(key));
         assert!(store.fetch(key).from_precon);
         assert!(store.contains_cached(key));
-        assert_eq!(store.file_precon(&completed(0), 2), Filed::AlreadyCached);
-        assert_eq!(store.counters().precon_fills, 1);
+        assert_eq!(store.file_precon(&completed(0), 3), Filed::AlreadyCached);
+        assert_eq!(store.counters().precon_fills, 2);
         // Fill every preconstruction entry from one region: the next
         // fill from that region is rejected.
         let mut start = 16;
-        while store.file_precon(&completed(start), 5) == Filed::Buffered {
+        while store.file_precon(&completed(start), 5) == Filed::NewEntry {
             start += 16;
         }
         assert_eq!(store.file_precon(&completed(start), 5), Filed::Rejected);
@@ -700,7 +704,7 @@ mod tests {
         let key = stored.key();
         assert!(s.fill_precon(stored.clone(), 1));
         assert!(s.fill_precon(mk_trace(16), 9));
-        assert_eq!(s.file_precon(&completed(0), 9), Filed::Buffered);
+        assert_eq!(s.file_precon(&completed(0), 9), Filed::Retagged);
         assert_eq!(s.counters().precon_fills, 3);
         let entry = s
             .slots

@@ -17,16 +17,17 @@
 //! Both engines are driven with the same random programs,
 //! branch biases, dispatch, retire and squash streams, slow-path idle
 //! patterns, store traffic and injected faults. After every tick the
-//! engine counters, the activity log, the start stack, the store and
-//! I-cache counters must be equal, and the indexed engine must pass
-//! its own `check_invariants`.
+//! engine counters, the activity (recorded by a probe on the indexed
+//! engine), the start stack, the store and I-cache counters must be
+//! equal, and the indexed engine must pass its own `check_invariants`.
 
 use std::collections::VecDeque;
 use tpc_core::constructor::{Step, TraceConstructor};
+use tpc_core::storage::Filed;
 use tpc_core::storage::{SplitStore, TraceStore, UnifiedConfig, UnifiedStore};
 use tpc_core::{
-    EngineActivity, EngineConfig, EngineFault, EngineStats, PreconEngine, StartPointStack,
-    StartReason, Trace, TraceInstr, ALIGN_QUANTUM,
+    EngineConfig, EngineFault, EngineProbe, EngineStats, PreconEngine, StartPointStack,
+    StartReason, Trace, TraceBuilder, TraceInstr,
 };
 use tpc_isa::model::{IndirectModel, OutcomeModel, XorShift64};
 use tpc_isa::{Addr, BranchCond, Op, OpClass, Program, ProgramBuilder, Reg};
@@ -73,6 +74,18 @@ fn salt_pick(n: usize, salt: u64, pred: impl Fn(usize) -> bool) -> Option<usize>
     (0..n).filter(|&i| pred(i)).nth(salt as usize % count)
 }
 
+/// One observable engine action: a start point offered to the stack,
+/// or a completed trace.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Activity {
+    StartPointPushed {
+        addr: Addr,
+        reason: StartReason,
+        seq: u64,
+    },
+    TraceEmitted(Trace),
+}
+
 #[derive(Debug)]
 struct RefEngine {
     config: EngineConfig,
@@ -85,7 +98,7 @@ struct RefEngine {
     stalls: Vec<u32>,
     next_region_id: u64,
     stats: EngineStats,
-    activity: Vec<EngineActivity>,
+    activity: Vec<Activity>,
 }
 
 impl RefEngine {
@@ -127,13 +140,11 @@ impl RefEngine {
         };
         if let Some(reason) = reason {
             self.stats.start_points_observed += 1;
-            if self.config.record_activity {
-                self.activity.push(EngineActivity::StartPointPushed {
-                    addr: pc.next(),
-                    reason,
-                    seq,
-                });
-            }
+            self.activity.push(Activity::StartPointPushed {
+                addr: pc.next(),
+                reason,
+                seq,
+            });
             self.stack.push(pc.next(), reason, seq);
         }
         for i in 0..self.regions.len() {
@@ -192,12 +203,6 @@ impl RefEngine {
                 continue;
             }
             let Some(sp) = self.stack.pop() else { break };
-            let seeds = match sp.reason {
-                StartReason::LoopExit if self.config.lattice_seed_loop_exits => {
-                    ALIGN_QUANTUM as u32
-                }
-                _ => 1,
-            };
             slot.live = true;
             slot.id = self.next_region_id;
             slot.start = sp.addr;
@@ -205,9 +210,7 @@ impl RefEngine {
             slot.worklist.clear();
             slot.seen.clear();
             slot.pending = None;
-            for k in 0..seeds {
-                slot.queue(sp.addr + k * ALIGN_QUANTUM as u32);
-            }
+            slot.queue(sp.addr);
             self.next_region_id += 1;
             self.stats.regions_started += 1;
         }
@@ -321,10 +324,7 @@ impl RefEngine {
         store: &mut dyn TraceStore,
     ) {
         self.stats.traces_built += 1;
-        if self.config.record_activity {
-            self.activity
-                .push(EngineActivity::TraceEmitted(trace.clone()));
-        }
+        self.activity.push(Activity::TraceEmitted(trace.clone()));
         let region = &mut self.regions[slot];
         if !region.live {
             return;
@@ -551,10 +551,7 @@ fn random_program(rng: &mut XorShift64) -> Program {
 /// A random engine configuration within the masks' bound, or the
 /// paper's.
 fn random_config(rng: &mut XorShift64, paper: bool) -> EngineConfig {
-    let base = EngineConfig {
-        record_activity: true,
-        ..EngineConfig::default()
-    };
+    let base = EngineConfig::default();
     if paper {
         return base;
     }
@@ -567,7 +564,6 @@ fn random_config(rng: &mut XorShift64, paper: bool) -> EngineConfig {
         decision_depth: rng.next_below(4) as usize,
         decode_width: rng.next_below(7),
         worklist_cap: rng.next_in(1, 10) as usize,
-        lattice_seed_loop_exits: rng.chance(1, 2),
         fetch_width: rng.next_in(1, 2),
         ..base
     }
@@ -618,6 +614,21 @@ fn random_fault(rng: &mut XorShift64) -> EngineFault {
 // The differential run.
 // ---------------------------------------------------------------------------
 
+/// The probe recording the indexed engine's activity.
+#[derive(Debug, Default)]
+struct Recorder(Vec<Activity>);
+
+impl EngineProbe for Recorder {
+    fn start_point(&mut self, addr: Addr, reason: StartReason, seq: u64) {
+        self.0
+            .push(Activity::StartPointPushed { addr, reason, seq });
+    }
+
+    fn trace_emitted(&mut self, trace: &TraceBuilder, _filed: Filed) {
+        self.0.push(Activity::TraceEmitted(trace.build()));
+    }
+}
+
 /// One engine with its own I-cache and store.
 struct Machine<E> {
     engine: E,
@@ -626,12 +637,12 @@ struct Machine<E> {
 }
 
 fn compare(
-    dut: &mut Machine<PreconEngine>,
+    dut: &mut Machine<PreconEngine<Recorder>>,
     reference: &mut Machine<RefEngine>,
     at: &str,
-) -> Vec<EngineActivity> {
+) -> Vec<Activity> {
     assert_eq!(*dut.engine.stats(), reference.engine.stats, "{at}: stats");
-    let activity = dut.engine.take_activity();
+    let activity = std::mem::take(&mut dut.engine.probe.0);
     assert_eq!(
         activity,
         std::mem::take(&mut reference.engine.activity),
@@ -666,7 +677,7 @@ fn run_case(case: u64, rng: &mut XorShift64, cycles: u64, fault_permille: u32) -
     let config = random_config(rng, case == 0);
     let (store, ref_store) = store_pair(rng);
     let mut dut = Machine {
-        engine: PreconEngine::new(config),
+        engine: PreconEngine::with_probe(config, Recorder::default()),
         icache: InstrCache::new(InstrCacheConfig::default()),
         store,
     };
@@ -782,7 +793,7 @@ fn run_case(case: u64, rng: &mut XorShift64, cycles: u64, fault_permille: u32) -
             reference.store.as_mut(),
         );
         for a in compare(&mut dut, &mut reference, &at) {
-            if let EngineActivity::TraceEmitted(t) = a {
+            if let Activity::TraceEmitted(t) = a {
                 built.push(t.key());
             }
         }

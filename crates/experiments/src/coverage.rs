@@ -16,14 +16,14 @@
 //!   [`tpc_processor::TraceStream`];
 //! - **preconstruction coverage** — the share of that dynamic working
 //!   set a preconstructing frontend ever built (the keys of the
-//!   engine's `TraceEmitted` activity), alongside the share the biased
-//!   static enumeration predicted (`enumerable`).
+//!   traces its engine emitted, collected by a probe), alongside the
+//!   share the biased static enumeration predicted (`enumerable`).
 //!
 //! The gap between the two shares is the paper's motivation made
 //! quantitative: static enumeration over-approximates what a
 //! profile-blind compiler could pre-pack, while the runtime
-//! preconstructor only builds what the lattice of region start points
-//! reaches during execution.
+//! preconstructor only builds what its region start points reach
+//! during execution.
 
 use std::collections::BTreeSet;
 
@@ -31,9 +31,10 @@ use crate::par_sweep::{effective_jobs, par_map};
 use crate::report::{f1, markdown_table};
 use crate::RunParams;
 use tpc_analysis::{enumerate_biased, Cfg};
-use tpc_core::{EngineActivity, TraceKey};
+use tpc_core::{EngineProbe, Filed, TraceBuilder, TraceKey};
+use tpc_exec::Executor;
 use tpc_isa::OpClass;
-use tpc_processor::{SimConfig, Simulator, TraceStream};
+use tpc_processor::{Probe, SimConfig, Simulator, TraceStream};
 use tpc_workloads::{Benchmark, WorkloadBuilder};
 
 /// Cap on the biased static enumeration, matching the
@@ -41,9 +42,17 @@ use tpc_workloads::{Benchmark, WorkloadBuilder};
 /// flagged as truncated.
 pub const MAX_STATIC_TRACES: usize = 200_000;
 
-/// Instructions simulated between drains of the engine's activity
-/// log, which bounds the log's memory.
-const ACTIVITY_SLICE: u64 = 10_000;
+/// The probe collecting the key of every trace the engine emits.
+#[derive(Debug, Default)]
+struct EmittedKeys(BTreeSet<TraceKey>);
+
+impl EngineProbe for EmittedKeys {
+    fn trace_emitted(&mut self, trace: &TraceBuilder, _filed: Filed) {
+        self.0.insert(trace.key());
+    }
+}
+
+impl Probe for EmittedKeys {}
 
 /// One benchmark's static-vs-dynamic measurements.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -120,29 +129,16 @@ fn measure(benchmark: Benchmark, params: RunParams) -> CoverageRow {
         .count();
 
     // Preconstruction coverage: run the standard preconstructing
-    // frontend through the warmup and the window, collect the key of
-    // every trace the engine built, and count the dynamic keys among
-    // them.
-    let mut config = SimConfig::with_precon(128, 128);
-    config.engine.record_activity = true;
-    let mut sim = Simulator::new(&program, config);
-    let mut emitted: BTreeSet<TraceKey> = BTreeSet::new();
-    let mut retired = 0;
-    for phase in [params.warmup, params.measure] {
-        // Slices stop where one run of `phase` would.
-        let end = retired + phase;
-        while retired < end {
-            retired = sim
-                .run((end - retired).min(ACTIVITY_SLICE))
-                .retired_instructions;
-            for activity in sim.take_engine_activity() {
-                if let EngineActivity::TraceEmitted(t) = activity {
-                    emitted.insert(t.key());
-                }
-            }
-        }
-    }
-    let built = dynamic.intersection(&emitted).count();
+    // frontend through the warmup and the window, and count the
+    // dynamic keys among those of the traces its engine built.
+    let mut sim = Simulator::with_probe(
+        Executor::new(&program),
+        SimConfig::with_precon(128, 128),
+        EmittedKeys::default(),
+    );
+    sim.run(params.warmup);
+    sim.run(params.measure);
+    let built = dynamic.intersection(&sim.probe().0).count();
 
     CoverageRow {
         benchmark,

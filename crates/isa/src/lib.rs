@@ -27,7 +27,6 @@
 
 pub mod addr;
 pub mod asm;
-pub mod encode;
 pub mod model;
 pub mod op;
 pub mod program;

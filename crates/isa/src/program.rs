@@ -241,11 +241,6 @@ impl ProgramBuilder {
         *slot = op;
     }
 
-    /// Replaces the outcome model of the branch at `addr`.
-    pub fn set_branch_model(&mut self, addr: Addr, model: OutcomeModel) {
-        self.branch_models.insert(addr.word(), model);
-    }
-
     /// Replaces the target model of the indirect jump at `addr` —
     /// used to fix up switch arms whose addresses are only known
     /// after the jump is emitted.

@@ -80,11 +80,6 @@ impl PrefetchCache {
         self.lines.clear();
     }
 
-    /// Number of resident lines.
-    pub fn occupancy_lines(&self) -> usize {
-        self.lines.len()
-    }
-
     /// Capacity in lines.
     pub fn capacity_lines(&self) -> usize {
         self.capacity_lines

@@ -7,18 +7,18 @@
 //! traces are built, cached, preconstructed, or promoted, the machine
 //! must retire exactly the architectural instruction sequence.
 //!
-//! Alongside the stream comparison the runner re-checks the
+//! The comparison is a probe on the simulator: each instruction is
+//! checked against the oracle as it retires, and against the static
+//! code at its claimed address. Alongside it the runner re-checks the
 //! conservation invariants after every chunk (fetch accounting,
-//! buffer occupancy ≤ capacity, start-stack depth ≤ 16+4) and
-//! verifies that every retired instruction exists verbatim in the
-//! static code at its claimed address.
+//! buffer occupancy ≤ capacity, start-stack depth ≤ 16+4).
 //!
 //! Two static-analysis gates bracket every run. Before simulating,
 //! the program is linted ([`tpc_analysis::lint()`]) and rejected on
 //! structural errors — a malformed fuzzer input would make any
-//! divergence report meaningless. During simulation, the engine's
-//! activity log is drained each chunk and checked against the
-//! program's [`StaticEnumeration`]: every start point the dispatch
+//! divergence report meaningless. During simulation, the same probe
+//! checks the engine's activity against the program's
+//! [`StaticEnumeration`]: every start point the dispatch
 //! stage pushes must name a real call-return or loop-exit construct,
 //! and every trace a constructor emits must be statically
 //! constructible from its start. These conformance checks run in both
@@ -27,13 +27,13 @@
 
 use crate::interp::Oracle;
 use tpc_analysis::StaticEnumeration;
-use tpc_core::FaultPlan;
+use tpc_core::{EngineProbe, FaultPlan, Filed, StartReason, TraceBuilder};
 use tpc_exec::{Frontend, FrontendSource};
-use tpc_isa::Program;
-use tpc_processor::{SimConfig, SimStats, Simulator};
+use tpc_isa::{Addr, Program};
+use tpc_processor::{Probe, SimConfig, SimStats, Simulator};
 
-/// How many instructions each comparison chunk covers. Chunking keeps
-/// memory bounded on long runs and localises invariant failures.
+/// How many instructions run between invariant checks. Chunking
+/// localises invariant failures.
 const CHUNK: u64 = 4096;
 
 /// A named simulator configuration under differential test.
@@ -232,9 +232,81 @@ fn check_frontend<S: FrontendSource>(source: &S, instructions: u64) -> Result<()
     Ok(())
 }
 
+/// The probe that checks a run as it happens: every retired
+/// instruction against an oracle stepped in lockstep, every start
+/// point and emitted trace against the static enumeration. It keeps
+/// the first divergence, with the count of instructions matched
+/// before it.
+#[derive(Debug)]
+struct Lockstep<'a> {
+    program: &'a Program,
+    oracle: Oracle<'a>,
+    enumeration: &'a StaticEnumeration,
+    /// Instructions retired and matched so far.
+    compared: u64,
+    divergence: Option<(u64, String)>,
+}
+
+impl Lockstep<'_> {
+    fn check(&mut self, result: Result<(), String>) {
+        if let Err(detail) = result {
+            self.divergence.get_or_insert((self.compared, detail));
+        }
+    }
+}
+
+/// Conformance: every start point pushed and every trace emitted must
+/// be in the static enumeration.
+impl EngineProbe for Lockstep<'_> {
+    fn start_point(&mut self, addr: Addr, reason: StartReason, _seq: u64) {
+        if !self.enumeration.is_valid_push(addr, reason) {
+            self.check(Err(format!(
+                "engine conformance violated: start point {addr:?} pushed with reason \
+                 {reason:?} has no matching construct at {:?}",
+                Addr::new(addr.word().wrapping_sub(1))
+            )));
+        }
+    }
+
+    fn trace_emitted(&mut self, trace: &TraceBuilder, _filed: Filed) {
+        let result = self.enumeration.check_trace(&trace.build());
+        self.check(result.map_err(|e| {
+            format!(
+                "engine conformance violated: emitted trace {:?}: {e}",
+                trace.key()
+            )
+        }));
+    }
+}
+
+impl Probe for Lockstep<'_> {
+    fn retired(&mut self, pc: Addr, taken: bool) {
+        if self.divergence.is_some() {
+            return;
+        }
+        let want = self.oracle.step();
+        // Conservation: the retired instruction must exist verbatim
+        // in the static code at its claimed address — a trace-cache
+        // hit can never supply fabricated instructions.
+        let static_op = self.program.fetch(pc);
+        if static_op != Some(&want.op) {
+            let detail = format!("retired pc {pc} does not match static code ({static_op:?})");
+            self.check(Err(detail));
+        } else if (pc, taken) != (want.pc, want.taken) {
+            self.check(Err(format!(
+                "oracle retired pc={} taken={} but simulator pc={pc} taken={taken}",
+                want.pc, want.taken
+            )));
+        } else {
+            self.compared += 1;
+        }
+    }
+}
+
 /// Runs one simulator configuration and compares its retirement
-/// stream against a fresh oracle advanced in lockstep. Returns the
-/// final statistics so faulted runs can report injection counts.
+/// stream against a fresh oracle advanced in lockstep, checking the
+/// invariants after every chunk. Returns the final statistics so
+/// faulted runs can report injection counts.
 fn check_config<S: FrontendSource>(
     source: &S,
     nc: &NamedConfig,
@@ -242,70 +314,35 @@ fn check_config<S: FrontendSource>(
     enumeration: &StaticEnumeration,
 ) -> Result<SimStats, Divergence> {
     let program = source.code();
-    let mut config = nc.config.clone();
-    config.record_retirement = true;
-    config.engine.record_activity = true;
-    let mut sim = Simulator::with_frontend(source.frontend(), config);
-    let mut oracle = Oracle::new(program);
-    let mut compared: u64 = 0;
-
-    while compared < instructions {
-        sim.run(CHUNK.min(instructions - compared));
-        let retired = sim.take_retirement();
-        if retired.is_empty() {
+    let lockstep = Lockstep {
+        program,
+        oracle: Oracle::new(program),
+        enumeration,
+        compared: 0,
+        divergence: None,
+    };
+    let mut sim = Simulator::with_probe(source.frontend(), nc.config.clone(), lockstep);
+    while sim.probe().compared < instructions {
+        let retired = sim
+            .run(CHUNK.min(instructions - sim.probe().compared))
+            .retired_instructions;
+        let probe = sim.probe();
+        let failed = match &probe.divergence {
+            Some((index, detail)) => Some((*index, detail.clone())),
+            None if probe.compared != retired => {
+                let detail = format!("{retired} instructions retired, {} seen", probe.compared);
+                Some((probe.compared, detail))
+            }
+            None => sim
+                .check_invariants()
+                .err()
+                .map(|e| (probe.compared, format!("invariant violated: {e}"))),
+        };
+        if let Some((index, detail)) = failed {
             return Err(Divergence {
                 config: nc.name,
-                index: compared,
-                detail: "simulator made progress but retired nothing".into(),
-            });
-        }
-        for r in retired {
-            let want = oracle.step();
-            // Conservation: the retired instruction must exist
-            // verbatim in the static code at its claimed address —
-            // a trace-cache hit can never supply fabricated
-            // instructions.
-            match program.fetch(r.pc) {
-                Some(&op) if op == want.op => {}
-                other => {
-                    return Err(Divergence {
-                        config: nc.name,
-                        index: compared,
-                        detail: format!(
-                            "retired pc {} does not match static code ({other:?})",
-                            r.pc
-                        ),
-                    });
-                }
-            }
-            if r.pc != want.pc || r.taken != want.taken {
-                return Err(Divergence {
-                    config: nc.name,
-                    index: compared,
-                    detail: format!(
-                        "oracle retired pc={} taken={} but simulator pc={} taken={}",
-                        want.pc, want.taken, r.pc, r.taken
-                    ),
-                });
-            }
-            compared += 1;
-        }
-        // Conformance: every start point pushed and every trace
-        // emitted this chunk must be in the static enumeration.
-        for activity in sim.take_engine_activity() {
-            if let Err(e) = enumeration.check_activity(&activity) {
-                return Err(Divergence {
-                    config: nc.name,
-                    index: compared,
-                    detail: format!("engine conformance violated: {e}"),
-                });
-            }
-        }
-        if let Err(e) = sim.check_invariants() {
-            return Err(Divergence {
-                config: nc.name,
-                index: compared,
-                detail: format!("invariant violated: {e}"),
+                index,
+                detail,
             });
         }
     }

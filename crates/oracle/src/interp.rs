@@ -107,18 +107,6 @@ impl<'a> Oracle<'a> {
         }
     }
 
-    /// A digest of the architectural register file, for end-of-run
-    /// state comparison against the production executor.
-    pub fn reg_digest(&self) -> u64 {
-        let mut digest = 0xcbf2_9ce4_8422_2325u64; // FNV offset basis
-        for i in 0..32u8 {
-            let v = self.reg(Reg::new(i)) as u64;
-            digest ^= v.wrapping_add(i as u64);
-            digest = digest.wrapping_mul(0x1000_0000_01b3);
-        }
-        digest
-    }
-
     /// Executes and retires exactly one instruction.
     pub fn step(&mut self) -> OracleInstr {
         let pc = self.pc;

@@ -33,10 +33,11 @@ pub mod simulator;
 pub mod stream;
 
 pub use simulator::{
-    BudgetExceeded, EventLog, FrontendBreakdown, RetiredInstr, SimConfig, SimEvent, SimStats,
-    Simulator, StorageKind, SupplySource,
+    BudgetExceeded, FrontendBreakdown, Probe, SimConfig, SimEvent, SimStats, Simulator,
+    StorageKind, SupplySource,
 };
 pub use stream::{DynTrace, TraceStream, TraceVec};
+pub use tpc_core::{EngineProbe, NoProbe};
 
 /// Version of the timing model's observable results. A change that
 /// moves any [`SimStats`] word or pinned log digest bumps it (and

@@ -5,8 +5,8 @@ use crate::stream::{DynTrace, TraceStream, TraceVec};
 use std::collections::VecDeque;
 use tpc_core::storage::{SplitStore, StoreCounters, TraceStore, UnifiedConfig, UnifiedStore};
 use tpc_core::{
-    preprocess, EngineConfig, EngineFault, EngineStats, FaultKind, FaultPlan, FaultState,
-    FaultStats, PreconEngine, Trace,
+    preprocess, EngineConfig, EngineFault, EngineProbe, EngineStats, FaultKind, FaultPlan,
+    FaultState, FaultStats, NoProbe, PreconEngine, Trace,
 };
 use tpc_exec::{Executor, Frontend};
 use tpc_isa::{Addr, OpClass, Program};
@@ -59,14 +59,6 @@ pub struct SimConfig {
     pub backend: BackendConfig,
     /// Frontend redirect penalty after a resolved misprediction.
     pub mispredict_penalty: u64,
-    /// Record a bounded log of pipeline events (dispatches, slow
-    /// builds, stalls, retires) readable via [`Simulator::events`].
-    pub record_events: bool,
-    /// Record every retired instruction's `(pc, taken)` pair,
-    /// readable via [`Simulator::take_retirement`]. Used by the
-    /// differential oracle to compare the simulator's retirement
-    /// stream against the reference interpreter.
-    pub record_retirement: bool,
     /// Deterministic fault-injection plan perturbing the
     /// preconstruction mechanisms (`None` disables injection). Faults
     /// may move performance counters but never the retirement stream
@@ -87,8 +79,6 @@ impl Default for SimConfig {
             ras_depth: 64,
             backend: BackendConfig::default(),
             mispredict_penalty: 5,
-            record_events: false,
-            record_retirement: false,
             faults: None,
         }
     }
@@ -454,7 +444,7 @@ pub enum SupplySource {
     SlowPath,
 }
 
-/// One recorded pipeline event (see [`SimConfig::record_events`]).
+/// One pipeline event, as [`Probe::event`] sees it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimEvent {
     /// A trace was dispatched to a processing element.
@@ -493,43 +483,6 @@ pub enum SimEvent {
     },
 }
 
-impl SimEvent {
-    /// The event's cycle.
-    pub fn cycle(&self) -> u64 {
-        match *self {
-            SimEvent::Dispatch { cycle, .. }
-            | SimEvent::SlowBuildBegin { cycle, .. }
-            | SimEvent::MispredictStall { cycle, .. }
-            | SimEvent::Retire { cycle, .. } => cycle,
-        }
-    }
-}
-
-/// The pipeline event log (see [`Simulator::events`]): a ring of the
-/// newest [`EventLog::CAPACITY`] events.
-#[derive(Debug, Clone, Default)]
-pub struct EventLog {
-    /// The kept events, oldest first.
-    pub events: VecDeque<SimEvent>,
-    /// Older events dropped to keep the ring within its capacity.
-    pub dropped: u64,
-}
-
-impl EventLog {
-    /// Events a simulator's log keeps.
-    pub const CAPACITY: usize = 1_000_000;
-
-    /// Appends `event`, first dropping the oldest if `capacity` are
-    /// kept.
-    fn push(&mut self, event: SimEvent, capacity: usize) {
-        if self.events.len() == capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(event);
-    }
-}
-
 /// What the fetch stage did in one cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum FrontendActivity {
@@ -539,17 +492,26 @@ enum FrontendActivity {
     Backpressure,
 }
 
-/// One retired instruction as recorded by the retirement log (see
-/// [`SimConfig::record_retirement`]): the architectural identity the
-/// differential oracle compares — which instruction retired, and for
-/// branches, which way it went.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetiredInstr {
-    /// Instruction address.
-    pub pc: Addr,
-    /// Branch outcome (`false` for non-branches).
-    pub taken: bool,
+/// Hooks through which a run is observed (see
+/// [`Simulator::with_probe`]): the pipeline events and every retired
+/// instruction, plus the preconstruction engine's [`EngineProbe`]
+/// hooks, all on one value. Every hook defaults to doing nothing, and
+/// [`NoProbe`] compiles to nothing. The model never reads a probe, so
+/// observing a run cannot change its results.
+pub trait Probe: EngineProbe {
+    /// A pipeline event happened; events arrive in cycle order.
+    #[inline]
+    fn event(&mut self, _event: SimEvent) {}
+
+    /// The instruction at `pc` retired, and if it is a branch, went
+    /// the way `taken` says: the architectural identity the
+    /// differential oracle compares. Instructions arrive in program
+    /// order.
+    #[inline]
+    fn retired(&mut self, _pc: Addr, _taken: bool) {}
 }
+
+impl Probe for NoProbe {}
 
 /// A dispatched trace awaiting retirement.
 #[derive(Debug)]
@@ -564,17 +526,19 @@ struct Inflight {
     complete: u64,
 }
 
-/// The simulator, generic over the instruction [`Frontend`]
-/// (statically dispatched). Create with [`Simulator::new`] for the
-/// synthetic executor frontend or [`Simulator::with_frontend`] for
-/// any other, drive with [`Simulator::run`], read results with
-/// [`Simulator::stats`].
+/// The simulator, generic over the instruction [`Frontend`] and the
+/// [`Probe`] that observes it (both statically dispatched). Create
+/// with [`Simulator::new`] for the synthetic executor frontend,
+/// [`Simulator::with_frontend`] for any other, or
+/// [`Simulator::with_probe`] to observe the run; drive with
+/// [`Simulator::run`], read results with [`Simulator::stats`].
 #[derive(Debug)]
-pub struct Simulator<F: Frontend> {
+pub struct Simulator<F: Frontend, P: Probe = NoProbe> {
     config: SimConfig,
     stream: TraceStream<F>,
     store: Box<dyn TraceStore>,
-    engine: PreconEngine,
+    /// The preconstruction engine, which also holds the probe.
+    engine: PreconEngine<P>,
     ntp: NextTracePredictor,
     bimodal: Bimodal,
     ras: ReturnAddressStack,
@@ -596,12 +560,6 @@ pub struct Simulator<F: Frontend> {
     /// Fault-injection runtime state (`None` when no plan attached).
     faults: Option<FaultState>,
     stats: SimStats,
-    events: EventLog,
-    /// Retired-instruction log (empty unless
-    /// [`SimConfig::record_retirement`]).
-    retirement: Vec<RetiredInstr>,
-    /// Pending supply source for the next dispatch's event record.
-    pending_source: SupplySource,
 }
 
 impl<'a> Simulator<Executor<'a>> {
@@ -616,6 +574,13 @@ impl<F: Frontend> Simulator<F> {
     /// Creates a simulator over any freshly instantiated
     /// [`Frontend`].
     pub fn with_frontend(frontend: F, config: SimConfig) -> Self {
+        Simulator::with_probe(frontend, config, NoProbe)
+    }
+}
+
+impl<F: Frontend, P: Probe> Simulator<F, P> {
+    /// Creates a simulator over `frontend` observed by `probe`.
+    pub fn with_probe(frontend: F, config: SimConfig, probe: P) -> Self {
         // Preconstructed traces are preprocessed at first use, by the
         // store.
         let store: Box<dyn TraceStore> = match config.storage {
@@ -645,7 +610,7 @@ impl<F: Frontend> Simulator<F> {
         Simulator {
             stream: TraceStream::over(frontend),
             store,
-            engine: PreconEngine::new(config.engine),
+            engine: PreconEngine::with_probe(config.engine, probe),
             ntp: NextTracePredictor::new(config.ntp),
             bimodal: Bimodal::new(config.bimodal_entries),
             ras: ReturnAddressStack::new(config.ras_depth),
@@ -662,9 +627,6 @@ impl<F: Frontend> Simulator<F> {
             seq: 0,
             faults: config.faults.map(FaultState::new),
             stats: SimStats::default(),
-            events: EventLog::default(),
-            retirement: Vec::new(),
-            pending_source: SupplySource::TraceCache,
             config,
         }
     }
@@ -674,29 +636,20 @@ impl<F: Frontend> Simulator<F> {
         self.stream.frontend_id()
     }
 
-    /// The recorded pipeline events (empty unless
-    /// [`SimConfig::record_events`] is set), with the count of older
-    /// ones the ring dropped.
-    pub fn events(&self) -> &EventLog {
-        &self.events
+    /// The probe observing this run.
+    pub fn probe(&self) -> &P {
+        &self.engine.probe
     }
 
-    fn record(&mut self, event: SimEvent) {
-        if self.config.record_events {
-            self.events.push(event, EventLog::CAPACITY);
-        }
+    /// The probe observing this run, mutably (to drain what it
+    /// recorded).
+    pub fn probe_mut(&mut self) -> &mut P {
+        &mut self.engine.probe
     }
 
     /// The configuration in use.
     pub fn config(&self) -> &SimConfig {
         &self.config
-    }
-
-    /// Drains and returns the retired-instruction log, leaving it
-    /// empty. The differential runner calls this between chunks so
-    /// long runs compare in bounded memory.
-    pub fn take_retirement(&mut self) -> Vec<RetiredInstr> {
-        std::mem::take(&mut self.retirement)
     }
 
     /// Checks the simulator-wide invariants the differential oracle
@@ -758,15 +711,6 @@ impl<F: Frontend> Simulator<F> {
         self.store.check_invariants()?;
         self.engine.check_invariants()?;
         Ok(())
-    }
-
-    /// Drains the engine's activity log (empty unless
-    /// [`tpc_core::EngineConfig::record_activity`] is set). The
-    /// conformance checker calls this between chunks and validates
-    /// every start-point push and emitted trace against the static
-    /// enumeration.
-    pub fn take_engine_activity(&mut self) -> Vec<tpc_core::EngineActivity> {
-        self.engine.take_activity()
     }
 
     /// Runs until at least `instructions` have retired; returns a
@@ -931,14 +875,14 @@ impl<F: Frontend> Simulator<F> {
             return;
         }
         let done = self.inflight.pop_front().expect("checked front");
-        self.record(SimEvent::Retire {
+        self.engine.probe.event(SimEvent::Retire {
             cycle: self.cycle,
             start: done.trace.start(),
         });
         self.last_retire_cycle = self.cycle;
         self.backend.release_pe(done.pe, self.cycle);
-        // Train the bimodal predictor, let the engine observe the
-        // retired path, and log it; branch directions come from the
+        // Train the bimodal predictor, let the engine and the probe
+        // observe the retired path; branch directions come from the
         // key's outcome bits.
         let mut branches = 0;
         for ti in done.trace.instrs() {
@@ -952,9 +896,7 @@ impl<F: Frontend> Simulator<F> {
                 self.bimodal.update(ti.pc, taken);
             }
             self.engine.observe_retire(ti.pc);
-            if self.config.record_retirement {
-                self.retirement.push(RetiredInstr { pc: ti.pc, taken });
-            }
+            self.engine.probe.retired(ti.pc, taken);
         }
         self.stats.retired_instructions += done.trace.len() as u64;
         self.stats.retired_traces += 1;
@@ -996,7 +938,7 @@ impl<F: Frontend> Simulator<F> {
                 let resume = (self.prev_resolve + self.config.mispredict_penalty).max(self.cycle);
                 if resume > self.cycle {
                     self.stall_until = resume;
-                    self.record(SimEvent::MispredictStall {
+                    self.engine.probe.event(SimEvent::MispredictStall {
                         cycle: self.cycle,
                         until: resume,
                     });
@@ -1011,13 +953,13 @@ impl<F: Frontend> Simulator<F> {
         // promoted into the trace cache by the store.
         let fetched = self.store.fetch(key);
         if fetched.hit {
-            if fetched.from_precon {
+            let source = if fetched.from_precon {
                 self.stats.precon_buffer_hits += 1;
-                self.pending_source = SupplySource::PreconBuffer;
+                SupplySource::PreconBuffer
             } else {
                 self.stats.trace_cache_hits += 1;
-                self.pending_source = SupplySource::TraceCache;
-            }
+                SupplySource::TraceCache
+            };
             let mut dt = self.pending.take().expect("set above");
             if let Some(info) = fetched.preprocess {
                 dt.trace.set_preprocess_arc(info);
@@ -1033,18 +975,17 @@ impl<F: Frontend> Simulator<F> {
                     _ => {}
                 }
             }
-            self.dispatch(dt);
+            self.dispatch(dt, source);
             return FrontendActivity::Dispatched;
         }
 
         // Miss: build the trace through the slow path.
         self.stats.trace_cache_misses += 1;
         let dt = self.pending.take().expect("set above");
-        self.record(SimEvent::SlowBuildBegin {
+        self.engine.probe.event(SimEvent::SlowBuildBegin {
             cycle: self.cycle,
             start: dt.trace.start(),
         });
-        self.pending_source = SupplySource::SlowPath;
         self.begin_slow_build(dt);
         FrontendActivity::SlowBuild
     }
@@ -1132,20 +1073,20 @@ impl<F: Frontend> Simulator<F> {
             build.dt.trace.set_preprocess(info);
         }
         self.store.fill_demand(build.dt.trace.clone());
-        self.dispatch(build.dt);
+        self.dispatch(build.dt, SupplySource::SlowPath);
     }
 
-    /// Dispatches a trace to the backend and the preconstruction
-    /// engine's dispatch observer.
+    /// Dispatches a trace supplied by `source` to the backend and the
+    /// preconstruction engine's dispatch observer.
     #[warn(clippy::cast_possible_truncation)]
-    fn dispatch(&mut self, dt: DynTrace) {
+    fn dispatch(&mut self, dt: DynTrace, source: SupplySource) {
         self.engine
             .observe_dispatch_trace(dt.trace.instrs(), self.seq + 1);
         self.seq += dt.trace.len() as u64;
         let timing = self
             .backend
             .dispatch(&dt, self.cycle, self.config.preprocess);
-        self.record(SimEvent::Dispatch {
+        self.engine.probe.event(SimEvent::Dispatch {
             cycle: self.cycle,
             start: dt.trace.start(),
             #[expect(
@@ -1158,7 +1099,7 @@ impl<F: Frontend> Simulator<F> {
                 reason = "PE index < pe_count, which Backend::new caps at 7"
             )]
             pe: timing.pe as u8,
-            source: self.pending_source,
+            source,
         });
         self.prev_resolve = timing.last_resolve;
         self.inflight.push_back(Inflight {
@@ -1178,6 +1119,32 @@ mod tests {
         let p = WorkloadBuilder::new(benchmark).seed(1).build();
         let mut sim = Simulator::new(&p, config);
         sim.run(n)
+    }
+
+    /// Records every pipeline event and retired `(pc, taken)`.
+    #[derive(Debug, Default)]
+    struct Recorder {
+        events: Vec<SimEvent>,
+        retired: Vec<(Addr, bool)>,
+    }
+
+    impl EngineProbe for Recorder {}
+
+    impl Probe for Recorder {
+        fn event(&mut self, event: SimEvent) {
+            self.events.push(event);
+        }
+
+        fn retired(&mut self, pc: Addr, taken: bool) {
+            self.retired.push((pc, taken));
+        }
+    }
+
+    /// Runs `n` instructions of `config` on `p` under a [`Recorder`].
+    fn recorded(p: &Program, config: SimConfig, n: u64) -> (SimStats, Recorder) {
+        let mut sim = Simulator::with_probe(Executor::new(p), config, Recorder::default());
+        let stats = sim.run(n);
+        (stats, std::mem::take(sim.probe_mut()))
     }
 
     #[test]
@@ -1318,13 +1285,10 @@ mod tests {
     }
 
     #[test]
-    fn event_log_captures_pipeline_activity() {
+    fn probe_sees_pipeline_events() {
         let p = WorkloadBuilder::new(Benchmark::Li).seed(1).build();
-        let mut cfg = SimConfig::with_precon(64, 64);
-        cfg.record_events = true;
-        let mut sim = Simulator::new(&p, cfg);
-        sim.run(20_000);
-        let events = &sim.events().events;
+        let (stats, recorder) = recorded(&p, SimConfig::with_precon(64, 64), 20_000);
+        let events = &recorder.events;
         assert!(!events.is_empty());
         let dispatches = events
             .iter()
@@ -1340,10 +1304,18 @@ mod tests {
             "a trace retires only after dispatching"
         );
         // Events are in non-decreasing cycle order.
-        for (a, b) in events.iter().zip(events.iter().skip(1)) {
-            assert!(a.cycle() <= b.cycle());
-        }
-        assert_eq!(sim.events().dropped, 0);
+        let cycles: Vec<u64> = events
+            .iter()
+            .map(|e| match *e {
+                SimEvent::Dispatch { cycle, .. }
+                | SimEvent::SlowBuildBegin { cycle, .. }
+                | SimEvent::MispredictStall { cycle, .. }
+                | SimEvent::Retire { cycle, .. } => cycle,
+            })
+            .collect();
+        assert!(cycles.is_sorted());
+        assert_eq!(recorder.retired.len() as u64, stats.retired_instructions);
+        assert_eq!(retires as u64, stats.retired_traces);
         // All three supply sources appear on this config.
         let sources: Vec<_> = events
             .iter()
@@ -1354,25 +1326,6 @@ mod tests {
             .collect();
         assert!(sources.contains(&SupplySource::SlowPath));
         assert!(sources.contains(&SupplySource::TraceCache));
-    }
-
-    #[test]
-    fn events_off_by_default() {
-        let p = WorkloadBuilder::new(Benchmark::Compress).seed(1).build();
-        let mut sim = Simulator::new(&p, SimConfig::default());
-        sim.run(5_000);
-        assert!(sim.events().events.is_empty());
-    }
-
-    #[test]
-    fn event_ring_keeps_the_newest_and_counts_the_dropped() {
-        let mut log = EventLog::default();
-        for cycle in 0..5 {
-            let until = cycle + 1;
-            log.push(SimEvent::MispredictStall { cycle, until }, 3);
-        }
-        let kept: Vec<u64> = log.events.iter().map(SimEvent::cycle).collect();
-        assert_eq!((kept, log.dropped), (vec![2, 3, 4], 2));
     }
 
     #[test]
@@ -1405,18 +1358,13 @@ mod tests {
     #[test]
     fn faults_move_stats_but_not_retirement() {
         let p = WorkloadBuilder::new(Benchmark::Gcc).seed(5).build();
-        let mut clean_cfg = SimConfig::with_precon(128, 128);
-        clean_cfg.record_retirement = true;
-        let mut faulty_cfg = clean_cfg.clone().with_faults(FaultPlan::all(99, 100));
-        faulty_cfg.record_retirement = true;
-        let mut clean = Simulator::new(&p, clean_cfg);
-        let mut faulty = Simulator::new(&p, faulty_cfg);
-        let sc = clean.run(30_000);
-        let sf = faulty.run(30_000);
+        let clean_cfg = SimConfig::with_precon(128, 128);
+        let faulty_cfg = clean_cfg.clone().with_faults(FaultPlan::all(99, 100));
+        let (sc, clean) = recorded(&p, clean_cfg, 30_000);
+        let (sf, faulty) = recorded(&p, faulty_cfg, 30_000);
         assert!(sf.faults.landed() > 0, "faults demonstrably fired");
         // Same retired instruction *stream*...
-        let rc = clean.take_retirement();
-        let rf = faulty.take_retirement();
+        let (rc, rf) = (clean.retired, faulty.retired);
         assert_eq!(rc.len().min(30_500), rc.len(), "sanity");
         let n = rc.len().min(rf.len());
         assert_eq!(rc[..n], rf[..n], "retirement stream unchanged");

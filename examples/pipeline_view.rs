@@ -1,13 +1,27 @@
 //! Pipeline event viewer: a cycle-by-cycle log of trace dispatches,
 //! slow-path builds, misprediction stalls and retirements — a compact
-//! textual equivalent of a pipeline diagram.
+//! textual equivalent of a pipeline diagram, recorded by a probe.
 //!
 //! ```text
 //! cargo run --release --example pipeline_view [benchmark] [n_events]
 //! ```
 
-use trace_preconstruction::processor::{SimConfig, SimEvent, Simulator, SupplySource};
+use trace_preconstruction::exec::Executor;
+use trace_preconstruction::processor::{
+    EngineProbe, Probe, SimConfig, SimEvent, Simulator, SupplySource,
+};
 use trace_preconstruction::workloads::{Benchmark, WorkloadBuilder};
+
+/// The probe recording every pipeline event.
+struct Events(Vec<SimEvent>);
+
+impl EngineProbe for Events {}
+
+impl Probe for Events {
+    fn event(&mut self, event: SimEvent) {
+        self.0.push(event);
+    }
+}
 
 fn main() {
     let benchmark: Benchmark = std::env::args()
@@ -20,15 +34,13 @@ fn main() {
         .unwrap_or(60);
 
     let program = WorkloadBuilder::new(benchmark).seed(1).build();
-    let mut config = SimConfig::with_precon(64, 64);
-    config.record_events = true;
-    let mut sim = Simulator::new(&program, config);
-    // Warm up silently, then capture a window.
+    let config = SimConfig::with_precon(64, 64);
+    let mut sim = Simulator::with_probe(Executor::new(&program), config, Events(Vec::new()));
     sim.run(30_000);
 
     println!("{benchmark}: last {n_events} pipeline events\n");
     println!("{:>10}  {:18} detail", "cycle", "event");
-    let events = &sim.events().events;
+    let events = &sim.probe().0;
     for e in events.iter().skip(events.len().saturating_sub(n_events)) {
         match *e {
             SimEvent::Dispatch {

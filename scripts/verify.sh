@@ -46,6 +46,13 @@ for w in $(jq -r '.workloads[].name' BENCHMARK.json); do
     || { echo "perfbench $w: an operation failed" >&2; exit 1; }
 done
 
+echo "== pipeline_view example: the probe's event hooks end to end =="
+# The event hooks' only non-test user: it must exit 0 and close with
+# its summary line.
+pipeline_view="$(cargo run -q --release --offline --example pipeline_view)"
+grep -q '^summary: ' <<<"$pipeline_view" \
+  || { echo "pipeline_view printed no summary line" >&2; exit 1; }
+
 echo "== differential fuzz, 10s budget, fixed seed =="
 # Every differential run lints the program and checks engine
 # conformance against the static enumeration (see tpc-oracle::diff).

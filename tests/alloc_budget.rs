@@ -5,15 +5,16 @@
 //! what its layers must: the trace stream once per miss in its table
 //! of built traces (charged at exactly what a bare `TraceStream`
 //! allocates over the window's traces, whose count a model of the
-//! table bounds), the preconstruction engine once per fill the store
-//! accepts (a trace the store already holds is not built), and once
-//! per preprocessing run (the shared annotations: one per slow-path
-//! build and one per preconstructed trace at its first fetch), and
-//! nothing else, also while faults are injected into the engine and
-//! the store. A stream that bypasses its table, an engine that builds
-//! the traces it drops, or anything that allocates per cycle, per
-//! constructor step, per region or per injected fault blows the
-//! budget.
+//! table bounds), the preconstruction engine once per new entry the
+//! store files for it (counted by a probe: a trace the store already
+//! holds, cached or pending and re-tagged, is not built), and once per
+//! preprocessing run (the shared annotations: one per slow-path build
+//! and one per preconstructed trace at its first fetch), and nothing
+//! else, also while faults are injected into the engine and the
+//! store. A stream that bypasses its table, an engine or store that
+//! builds the traces it drops or re-tags, or anything that allocates
+//! per cycle, per constructor step, per region or per injected fault
+//! blows the budget.
 //!
 //! `Simulator::new` must request less heap than a byte budget: a
 //! table that grows back to a per-instruction or 16-byte-per-entry
@@ -21,10 +22,11 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use trace_preconstruction::core::FaultPlan;
+use trace_preconstruction::core::{EngineProbe, FaultPlan, Filed, TraceBuilder};
+use trace_preconstruction::exec::Executor;
 use trace_preconstruction::isa::Program;
 use trace_preconstruction::processor::stream::{trace_table_slot, TRACE_TABLE_SLOTS};
-use trace_preconstruction::processor::{SimConfig, SimStats, Simulator, TraceStream};
+use trace_preconstruction::processor::{Probe, SimConfig, SimStats, Simulator, TraceStream};
 use trace_preconstruction::workloads::{Benchmark, WorkloadBuilder};
 
 thread_local! {
@@ -100,18 +102,33 @@ fn stream_allocs(program: &Program, from: u64, to: u64) -> (u64, u64) {
     (allocs, misses)
 }
 
+/// The probe counting the traces the store filed as new entries for
+/// the engine: the only filings that build a trace.
+#[derive(Debug, Default)]
+struct NewEntries(u64);
+
+impl EngineProbe for NewEntries {
+    fn trace_emitted(&mut self, _trace: &TraceBuilder, filed: Filed) {
+        self.0 += u64::from(filed == Filed::NewEntry);
+    }
+}
+
+impl Probe for NewEntries {}
+
 /// Runs a warmed-up window of `config` on `benchmark`; returns the
 /// window's allocation count and its budget.
 fn window(benchmark: Benchmark, config: SimConfig) -> (u64, u64, String) {
     let program = WorkloadBuilder::new(benchmark).seed(1).build();
     let preprocess = config.preprocess;
-    let mut sim = Simulator::new(&program, config);
+    let mut sim = Simulator::with_probe(Executor::new(&program), config, NewEntries::default());
     sim.run(WARMUP);
     let before: SimStats = sim.stats();
+    let entries_before = sim.probe().0;
     let allocs_before = ALLOCS.with(Cell::get);
     sim.run(MEASURE);
     let allocs = ALLOCS.with(Cell::get) - allocs_before;
     let after = sim.stats();
+    let entries = sim.probe().0 - entries_before;
 
     // The simulator fetches each trace it takes from the stream once,
     // and holds at most one taken but not yet fetched: the window took
@@ -122,6 +139,10 @@ fn window(benchmark: Benchmark, config: SimConfig) -> (u64, u64, String) {
         "{benchmark:?}: the bare stream allocated {streamed} times for {misses} table misses"
     );
     let filled = after.store.precon_fills - before.store.precon_fills;
+    assert!(
+        entries <= filled,
+        "{benchmark:?}: every new entry is a fill"
+    );
     // With preprocessing on, every slow-path build (one per miss) and
     // every preconstructed trace at its first fetch (one per buffer
     // hit) is preprocessed once; one slow build may straddle each
@@ -133,11 +154,11 @@ fn window(benchmark: Benchmark, config: SimConfig) -> (u64, u64, String) {
     } else {
         0
     };
-    let budget = streamed + filled + preprocessed;
+    let budget = streamed + entries + preprocessed;
     let detail = format!(
         "{benchmark:?}: {allocs} allocations in the window; budget {budget} = \
-         {streamed} stream + {filled} precon fills + {preprocessed} preprocess runs \
-         ({} traces fetched, {} built by the engine)",
+         {streamed} stream + {entries} new precon entries + {preprocessed} preprocess runs \
+         ({} traces fetched, {} built by the engine, {filled} precon fills)",
         after.trace_fetches - before.trace_fetches,
         after.engine.traces_built - before.engine.traces_built
     );

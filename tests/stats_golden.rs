@@ -1,19 +1,23 @@
 //! Golden pins for the simulator's exact outputs.
 //!
 //! Each cell runs a short warmup+measure window and pins four
-//! things: every `SimStats` checkpoint word, an FNV-1a digest of the
-//! retirement log (every retired `(pc, taken)` pair, warmup
-//! included), an FNV-1a digest of the pipeline event log, and an
-//! FNV-1a digest of the preconstruction engine's activity log (every
-//! start-point push, and the key, length and successor of every trace
-//! it built; the empty log's digest when the engine is off). A
-//! refactor or optimization of the timing model must leave all four
-//! bit-identical; a deliberate model change re-pins them from the
-//! table this test prints on a mismatch, bumps `MODEL_VERSION` and
-//! appends a `PINS` row.
+//! things: every `SimStats` checkpoint word, and three FNV-1a digests
+//! a probe keeps over the whole run, warmup included: of every
+//! retired `(pc, taken)` pair, of every pipeline event, and of the
+//! preconstruction engine's activity (every start-point push, and the
+//! key, length and successor of every trace it built; the empty
+//! digest when the engine is off). A refactor or optimization of the
+//! timing model must leave all four bit-identical; a deliberate model
+//! change re-pins them from the table this test prints on a mismatch,
+//! bumps `MODEL_VERSION` and appends a `PINS` row. Observing a run
+//! must not change it: the words are the same with no probe.
 
-use trace_preconstruction::core::{EngineActivity, FaultPlan};
-use trace_preconstruction::processor::{SimConfig, SimStats, Simulator, MODEL_VERSION};
+use trace_preconstruction::core::{EngineProbe, FaultPlan, Filed, StartReason, TraceBuilder};
+use trace_preconstruction::exec::Executor;
+use trace_preconstruction::isa::Addr;
+use trace_preconstruction::processor::{
+    Probe, SimConfig, SimEvent, SimStats, Simulator, MODEL_VERSION,
+};
 use trace_preconstruction::workloads::{Benchmark, WorkloadBuilder};
 
 const WARMUP: u64 = 20_000;
@@ -52,52 +56,66 @@ fn fnv64(h: &mut u64, bytes: &[u8]) {
     }
 }
 
-/// FNV-1a digest of the engine activity log.
-fn activity_digest(log: &[EngineActivity]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325;
-    for a in log {
-        match a {
-            EngineActivity::StartPointPushed { addr, reason, seq } => {
-                fnv64(&mut h, &[0]);
-                fnv64(&mut h, &addr.word().to_le_bytes());
-                fnv64(&mut h, format!("{reason:?}").as_bytes());
-                fnv64(&mut h, &seq.to_le_bytes());
-            }
-            EngineActivity::TraceEmitted(t) => {
-                let key = t.key();
-                fnv64(&mut h, &[1]);
-                fnv64(&mut h, &key.start.word().to_le_bytes());
-                fnv64(&mut h, &[key.branch_count]);
-                fnv64(&mut h, &key.outcomes.to_le_bytes());
-                fnv64(&mut h, &[t.len() as u8]); // narrow: len <= 16
-                let succ = t.successor().map_or(u64::MAX, |a| u64::from(a.word()));
-                fnv64(&mut h, &succ.to_le_bytes());
-            }
-        }
-    }
-    h
+/// The probe behind the pins: FNV-1a digests of the retirement
+/// stream, of the pipeline events (each one's `Debug` form) and of the
+/// engine's activity.
+#[derive(Debug)]
+struct Digests {
+    retire: u64,
+    events: u64,
+    activity: u64,
 }
 
-/// The measure-window words and the three log digests of one cell.
-fn run_cell(benchmark: Benchmark, mut config: SimConfig) -> (Vec<u64>, u64, u64, u64) {
-    config.record_retirement = true;
-    config.record_events = true;
-    config.engine.record_activity = true;
+impl Default for Digests {
+    fn default() -> Self {
+        Digests {
+            retire: 0xcbf2_9ce4_8422_2325,
+            events: 0xcbf2_9ce4_8422_2325,
+            activity: 0xcbf2_9ce4_8422_2325,
+        }
+    }
+}
+
+impl EngineProbe for Digests {
+    fn start_point(&mut self, addr: Addr, reason: StartReason, seq: u64) {
+        let h = &mut self.activity;
+        fnv64(h, &[0]);
+        fnv64(h, &addr.word().to_le_bytes());
+        fnv64(h, format!("{reason:?}").as_bytes());
+        fnv64(h, &seq.to_le_bytes());
+    }
+
+    fn trace_emitted(&mut self, t: &TraceBuilder, _filed: Filed) {
+        let (h, key) = (&mut self.activity, t.key());
+        fnv64(h, &[1]);
+        fnv64(h, &key.start.word().to_le_bytes());
+        fnv64(h, &[key.branch_count]);
+        fnv64(h, &key.outcomes.to_le_bytes());
+        fnv64(h, &[t.len() as u8]); // narrow: len <= 16
+        let succ = t.successor().map_or(u64::MAX, |a| u64::from(a.word()));
+        fnv64(h, &succ.to_le_bytes());
+    }
+}
+
+impl Probe for Digests {
+    fn event(&mut self, event: SimEvent) {
+        fnv64(&mut self.events, format!("{event:?}").as_bytes());
+    }
+
+    fn retired(&mut self, pc: Addr, taken: bool) {
+        fnv64(&mut self.retire, &pc.word().to_le_bytes());
+        fnv64(&mut self.retire, &[u8::from(taken)]);
+    }
+}
+
+/// The measure-window words and the three digests of one cell.
+fn run_cell(benchmark: Benchmark, config: SimConfig) -> (Vec<u64>, u64, u64, u64) {
     let program = WorkloadBuilder::new(benchmark).seed(1).build();
-    let mut sim = Simulator::new(&program, config);
+    let mut sim = Simulator::with_probe(Executor::new(&program), config, Digests::default());
     let stats = sim.run_with_warmup(WARMUP, MEASURE);
     sim.check_invariants().expect("invariants hold");
-    let mut retire = 0xcbf2_9ce4_8422_2325;
-    for r in sim.take_retirement() {
-        fnv64(&mut retire, &r.pc.word().to_le_bytes());
-        fnv64(&mut retire, &[u8::from(r.taken)]);
-    }
-    let mut events = 0xcbf2_9ce4_8422_2325;
-    for e in &sim.events().events {
-        fnv64(&mut events, format!("{e:?}").as_bytes());
-    }
-    let activity = activity_digest(&sim.take_engine_activity());
-    (stats.to_words(), retire, events, activity)
+    let d = sim.probe();
+    (stats.to_words(), d.retire, d.events, d.activity)
 }
 
 /// `(benchmark, config, retirement digest, event digest, activity
@@ -310,6 +328,25 @@ fn stats_and_logs_match_golden() {
         mismatches.is_empty(),
         "golden mismatch in {mismatches:?}; this run's table:\n{actual}"
     );
+}
+
+/// Observing a run never perturbs it: every pinned cell, and a
+/// unified store under faults, gives the same words with no probe as
+/// with the digest probe.
+#[test]
+fn observing_a_run_never_changes_it() {
+    let mut cells = cells();
+    cells.push((
+        "unified-faulted",
+        Benchmark::Compress,
+        SimConfig::unified(256, 1, 4096).with_faults(FaultPlan::all(3, 40)),
+    ));
+    for (name, benchmark, config) in cells {
+        let program = WorkloadBuilder::new(benchmark).seed(1).build();
+        let unobserved = Simulator::new(&program, config.clone()).run_with_warmup(WARMUP, MEASURE);
+        let (observed, ..) = run_cell(benchmark, config);
+        assert_eq!(unobserved.to_words(), observed, "{benchmark:?}/{name}");
+    }
 }
 
 /// The words of the counters a warmup once leaked into the window:
