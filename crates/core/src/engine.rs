@@ -25,8 +25,24 @@ use tpc_isa::{Addr, Op, OpClass, Program};
 use tpc_mem::{AccessKind, InstrCache, PrefetchCache};
 use tpc_predict::Bimodal;
 
-/// Configuration of the preconstruction engine. Defaults are the
-/// paper's (Section 4.1) with a 256-entry buffer.
+/// Prefetch caches, and so the most regions explored at once (paper
+/// Section 4.1).
+pub const PREFETCH_CACHES: usize = 4;
+
+/// Completed-region entries the start-point stack reserves.
+pub const COMPLETED_ENTRIES: usize = 4;
+
+/// Instructions a constructor can decode per cycle.
+pub const DECODE_WIDTH: u32 = 4;
+
+/// Trace start points a region worklist can hold.
+pub const WORKLIST_CAP: usize = 8;
+
+/// Configuration of the preconstruction engine: the values the
+/// experiments vary. Defaults are the paper's (Section 4.1) with a
+/// 256-entry buffer; the rest of the paper's engine is fixed
+/// ([`PREFETCH_CACHES`], [`COMPLETED_ENTRIES`], [`DECODE_WIDTH`],
+/// [`WORKLIST_CAP`], and one I-cache line per idle cycle).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Master switch; a disabled engine does nothing and holds no
@@ -36,26 +52,14 @@ pub struct EngineConfig {
     /// engine does not allocate these itself — the processor sizes
     /// its [`crate::storage::SplitStore`] from this field.
     pub buffer_entries: u32,
-    /// Number of prefetch caches = maximum concurrently-active
-    /// regions.
-    pub prefetch_caches: usize,
     /// Parallel trace constructors.
     pub constructors: usize,
     /// Capacity of each prefetch cache, in instructions.
     pub prefetch_capacity: u32,
     /// Region start-point stack depth.
     pub stack_depth: usize,
-    /// Reserved completed-region entries on the stack.
-    pub completed_entries: usize,
     /// Per-constructor internal decision-stack depth.
     pub decision_depth: usize,
-    /// Instructions a constructor can decode per cycle.
-    pub decode_width: u32,
-    /// Trace start points a region worklist can hold.
-    pub worklist_cap: usize,
-    /// I-cache lines the engine may fetch per idle cycle (the paper
-    /// uses the single idle slow-path port: 1).
-    pub fetch_width: u32,
 }
 
 impl Default for EngineConfig {
@@ -63,15 +67,10 @@ impl Default for EngineConfig {
         EngineConfig {
             enabled: true,
             buffer_entries: 256,
-            prefetch_caches: 4,
             constructors: 4,
             prefetch_capacity: 256,
             stack_depth: 16,
-            completed_entries: 4,
             decision_depth: 3,
-            decode_width: 4,
-            worklist_cap: 8,
-            fetch_width: 1,
         }
     }
 }
@@ -201,9 +200,9 @@ impl Region {
         Region {
             id: 0,
             prefetch: PrefetchCache::new(config.prefetch_capacity),
-            worklist: VecDeque::with_capacity(config.worklist_cap),
+            worklist: VecDeque::with_capacity(WORKLIST_CAP),
             seen: Vec::with_capacity(
-                config.prefetch_capacity as usize + config.constructors + config.worklist_cap,
+                config.prefetch_capacity as usize + config.constructors + WORKLIST_CAP,
             ),
             pending: None,
         }
@@ -236,9 +235,12 @@ fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
     })
 }
 
-/// Most region slots or constructors an engine can have: one bit each
-/// in a `u64` mask.
+/// Most constructors an engine can have: one bit each in a `u64`
+/// mask.
 const MAX_MASK_SLOTS: usize = 64;
+
+/// The mask of every region slot: one bit per prefetch cache.
+const ALL_SLOTS: u64 = (1 << PREFETCH_CACHES) - 1;
 
 /// The preconstruction engine. See the module docs for the overall
 /// flow; drive it with one [`PreconEngine::tick`] per processor
@@ -259,11 +261,9 @@ const MAX_MASK_SLOTS: usize = 64;
 pub struct PreconEngine<P: EngineProbe = NoProbe> {
     config: EngineConfig,
     stack: StartPointStack,
-    regions: Vec<Region>,
+    regions: [Region; PREFETCH_CACHES],
     /// Start address of each live region slot (the catch-up check).
-    starts: Vec<Addr>,
-    /// Mask of every slot.
-    all_slots: u64,
+    starts: [Addr; PREFETCH_CACHES],
     live: u64,
     work: u64,
     in_flight: u64,
@@ -296,8 +296,8 @@ impl PreconEngine {
     ///
     /// # Panics
     ///
-    /// Panics if `prefetch_caches` or `constructors` exceeds 64: the
-    /// engine indexes both with one bit each in a `u64` mask.
+    /// Panics if `constructors` exceeds 64: the engine indexes them
+    /// with one bit each in a `u64` mask.
     pub fn new(config: EngineConfig) -> Self {
         PreconEngine::with_probe(config, NoProbe)
     }
@@ -311,24 +311,15 @@ impl<P: EngineProbe> PreconEngine<P> {
     ///
     /// Panics as [`PreconEngine::new`] does.
     pub fn with_probe(config: EngineConfig, probe: P) -> Self {
-        for (field, n) in [
-            ("prefetch_caches", config.prefetch_caches),
-            ("constructors", config.constructors),
-        ] {
-            assert!(
-                n <= MAX_MASK_SLOTS,
-                "engine {field} must be at most {MAX_MASK_SLOTS}, got {n}"
-            );
-        }
+        assert!(
+            config.constructors <= MAX_MASK_SLOTS,
+            "engine constructors must be at most {MAX_MASK_SLOTS}, got {}",
+            config.constructors
+        );
         PreconEngine {
-            stack: StartPointStack::new(config.stack_depth.max(1), config.completed_entries),
-            regions: (0..config.prefetch_caches)
-                .map(|_| Region::new(&config))
-                .collect(),
-            starts: vec![Addr::ZERO; config.prefetch_caches],
-            all_slots: u64::MAX
-                .checked_shr((MAX_MASK_SLOTS - config.prefetch_caches) as u32)
-                .unwrap_or(0),
+            stack: StartPointStack::new(config.stack_depth.max(1), COMPLETED_ENTRIES),
+            regions: std::array::from_fn(|_| Region::new(&config)),
+            starts: [Addr::ZERO; PREFETCH_CACHES],
             live: 0,
             work: 0,
             in_flight: 0,
@@ -378,24 +369,6 @@ impl<P: EngineProbe> PreconEngine<P> {
     /// Called by the differential oracle after every simulation chunk.
     pub fn check_invariants(&self) -> Result<(), String> {
         self.stack.check_invariants()?;
-        if self.stack.depth() != self.config.stack_depth.max(1)
-            || self.stack.completed_capacity() != self.config.completed_entries
-        {
-            return Err(format!(
-                "start stack shape {}+{} differs from configured {}+{}",
-                self.stack.depth(),
-                self.stack.completed_capacity(),
-                self.config.stack_depth.max(1),
-                self.config.completed_entries
-            ));
-        }
-        if self.regions.len() != self.config.prefetch_caches {
-            return Err(format!(
-                "{} region slots but {} prefetch caches configured",
-                self.regions.len(),
-                self.config.prefetch_caches
-            ));
-        }
         for (c, ctor) in self.constructors.iter().enumerate() {
             let assigned = self.assignment[c];
             if let Some(slot) = assigned {
@@ -425,8 +398,6 @@ impl<P: EngineProbe> PreconEngine<P> {
                 return Err(format!("constructor {c}: stall mask out of sync"));
             }
         }
-        // A region's own start is queued whatever the cap.
-        let worklist_cap = self.config.worklist_cap.max(1);
         for (i, region) in self.regions.iter().enumerate() {
             let live = self.live & 1 << i != 0;
             for (name, mask, holds) in [
@@ -438,16 +409,15 @@ impl<P: EngineProbe> PreconEngine<P> {
                     return Err(format!("region slot {i}: {name} mask bit out of sync"));
                 }
             }
-            if live && region.worklist.len() > worklist_cap {
+            if live && region.worklist.len() > WORKLIST_CAP {
                 return Err(format!(
-                    "region {} worklist holds {} entries, cap is {}",
+                    "region {} worklist holds {} entries, cap is {WORKLIST_CAP}",
                     region.id,
                     region.worklist.len(),
-                    worklist_cap
                 ));
             }
         }
-        if self.live & !self.all_slots != 0 {
+        if self.live & !ALL_SLOTS != 0 {
             return Err(format!("live mask {:#x} names absent slots", self.live));
         }
         if self.next_land != self.earliest_landing() {
@@ -555,16 +525,14 @@ impl<P: EngineProbe> PreconEngine<P> {
         if self.is_quiescent() {
             return;
         }
-        if !self.stack.is_empty() && self.live != self.all_slots {
+        if !self.stack.is_empty() && self.live != ALL_SLOTS {
             self.activate_regions();
         }
         if cycle >= self.next_land {
             self.land_pending_fetches(cycle);
         }
         if slow_path_idle && self.wants & !self.in_flight != 0 {
-            for _ in 0..self.config.fetch_width {
-                self.issue_line_fetch(cycle, icache);
-            }
+            self.issue_line_fetch(cycle, icache);
         }
         self.run_constructors(program, bimodal, store);
         self.complete_quiet_regions();
@@ -579,7 +547,7 @@ impl<P: EngineProbe> PreconEngine<P> {
 
     /// Pops start points into free region slots.
     fn activate_regions(&mut self) {
-        for slot in bits(self.all_slots & !self.live) {
+        for slot in bits(ALL_SLOTS & !self.live) {
             let Some(sp) = self.stack.pop() else { break };
             let region = &mut self.regions[slot];
             region.id = self.next_region_id;
@@ -660,7 +628,7 @@ impl<P: EngineProbe> PreconEngine<P> {
         bits(mask).max_by_key(|&i| self.regions[i].id)
     }
 
-    /// Runs every constructor for up to `decode_width` instructions.
+    /// Runs every constructor for up to [`DECODE_WIDTH`] instructions.
     ///
     /// A parked constructor does not poll: its line is still missing,
     /// so a poll would return the same `NeedLine`. At its turn it only
@@ -687,7 +655,7 @@ impl<P: EngineProbe> PreconEngine<P> {
                 }
                 continue;
             }
-            let mut budget = self.config.decode_width;
+            let mut budget = DECODE_WIDTH;
             while budget > 0 {
                 // (Re)assign idle constructors to the newest region
                 // with pending work.
@@ -756,7 +724,7 @@ impl<P: EngineProbe> PreconEngine<P> {
         let region_id = region.id;
         if let Some(succ) = done.successor() {
             if region.seen.binary_search(&succ).is_err() {
-                if region.worklist.len() < self.config.worklist_cap {
+                if region.worklist.len() < WORKLIST_CAP {
                     region.queue(succ);
                     self.work |= 1 << slot;
                 } else {
@@ -1118,15 +1086,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "engine prefetch_caches must be at most 64, got 65")]
-    fn more_regions_than_mask_bits_are_rejected() {
-        PreconEngine::new(EngineConfig {
-            prefetch_caches: 65,
-            ..EngineConfig::default()
-        });
-    }
-
-    #[test]
     #[should_panic(expected = "engine constructors must be at most 64, got 65")]
     fn more_constructors_than_mask_bits_are_rejected() {
         PreconEngine::new(EngineConfig {
@@ -1136,10 +1095,9 @@ mod tests {
     }
 
     #[test]
-    fn sixty_four_regions_and_constructors_are_accepted() {
+    fn sixty_four_constructors_are_accepted() {
         let p = call_program();
         let mut e = PreconEngine::new(EngineConfig {
-            prefetch_caches: 64,
             constructors: 64,
             ..EngineConfig::default()
         });
@@ -1150,10 +1108,56 @@ mod tests {
     }
 
     #[test]
+    fn successors_beyond_the_worklist_cap_are_dropped() {
+        // A region of weak forward branches, each taken to a place of
+        // its own: every trace the single constructor walks forks
+        // into several, each with a successor of its own, faster
+        // than the constructor drains its worklist.
+        let mut b = ProgramBuilder::new();
+        let call = b.push(Op::Nop); // patched to call f
+        for i in 1..400 {
+            b.push_branch(
+                Op::Branch {
+                    cond: BranchCond::Ne,
+                    rs1: r(1),
+                    rs2: r(2),
+                    target: Addr::new(i + 40 + i % 16),
+                },
+                OutcomeModel::NeverTaken,
+            );
+        }
+        for _ in 0..60 {
+            b.push(Op::Nop);
+        }
+        b.push(Op::Halt);
+        let f = b.here();
+        b.push(Op::Return);
+        b.patch(call, Op::Call { target: f });
+        let p = b.build().unwrap();
+        let mut e = PreconEngine::new(EngineConfig {
+            constructors: 1,
+            prefetch_capacity: 1024,
+            ..EngineConfig::default()
+        });
+        e.observe_dispatch(call, p.fetch(call).unwrap(), 1);
+        // Large buffers, so that the region runs long before a fill
+        // is rejected.
+        let (mut ic, bim, _) = harness();
+        let mut store = SplitStore::new(64, 4096);
+        for cycle in 0..2_000 {
+            e.tick(cycle, true, &p, &mut ic, &bim, &mut store);
+        }
+        assert!(e.stats().successors_dropped > 0, "{:?}", e.stats());
+        assert!(e.check_invariants().is_ok());
+    }
+
+    #[test]
     fn reused_region_slot_starts_clean() {
-        // One region slot serves two regions in turn. Both sit on the
-        // same I-cache line, so the second region must fetch it again
-        // into its cleared prefetch cache.
+        // One region slot serves two regions in turn: the first
+        // region completes before the second call dispatches, so the
+        // second takes the lowest free slot, the first one's. Both
+        // sit on the same I-cache line, so the second region must
+        // fetch it again into its cleared prefetch cache.
         let mut b = ProgramBuilder::new();
         let first_call = b.push(Op::Nop); // patched to call f
         b.push(Op::AddImm {
@@ -1174,10 +1178,7 @@ mod tests {
         b.patch(first_call, Op::Call { target: f });
         b.patch(second_call, Op::Call { target: f });
         let p = b.build().unwrap();
-        let mut e = PreconEngine::new(EngineConfig {
-            prefetch_caches: 1,
-            ..EngineConfig::default()
-        });
+        let mut e = PreconEngine::new(EngineConfig::default());
         let (mut ic, bim, mut store) = harness();
         let mut fetched = Vec::new();
         for (seq, call) in [first_call, second_call].into_iter().enumerate() {
@@ -1186,6 +1187,8 @@ mod tests {
                 let cycle = seq as u64 * 100 + cycle;
                 e.tick(cycle, true, &p, &mut ic, &bim, &mut store);
             }
+            assert_eq!(e.live, 0, "region {seq} completed");
+            assert_eq!(e.starts[0], call.next(), "region {seq} ran in slot 0");
             fetched.push(e.stats().lines_fetched);
         }
         assert_eq!(e.stats().regions_started, 2);

@@ -43,7 +43,10 @@ pub mod storage;
 pub mod trace;
 pub mod trace_cache;
 
-pub use engine::{EngineConfig, EngineProbe, EngineStats, NoProbe, PreconEngine};
+pub use engine::{
+    EngineConfig, EngineProbe, EngineStats, NoProbe, PreconEngine, COMPLETED_ENTRIES, DECODE_WIDTH,
+    PREFETCH_CACHES, WORKLIST_CAP,
+};
 pub use faults::{
     EngineFault, FaultEvent, FaultEvents, FaultKind, FaultPlan, FaultState, FaultStats, FAULTS_ALL,
     NUM_FAULT_KINDS,

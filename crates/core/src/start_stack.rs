@@ -179,16 +179,6 @@ impl StartPointStack {
         (self.pushes, self.deduped, self.dropped_oldest)
     }
 
-    /// Configured live-entry depth (the paper uses 16).
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Configured completed-region capacity (the paper uses 4).
-    pub fn completed_capacity(&self) -> usize {
-        self.completed_cap
-    }
-
     /// Current completed-region entry count.
     pub fn completed_len(&self) -> usize {
         self.completed.len()
@@ -319,8 +309,6 @@ mod tests {
     #[test]
     fn paper_default_is_sixteen_plus_four() {
         let mut st = StartPointStack::paper_default();
-        assert_eq!(st.depth(), 16);
-        assert_eq!(st.completed_capacity(), 4);
         for i in 0..17 {
             st.push(Addr::new(i), StartReason::LoopExit, i as u64);
         }

@@ -27,7 +27,8 @@ use tpc_core::storage::Filed;
 use tpc_core::storage::{SplitStore, TraceStore, UnifiedConfig, UnifiedStore};
 use tpc_core::{
     EngineConfig, EngineFault, EngineProbe, EngineStats, PreconEngine, StartPointStack,
-    StartReason, Trace, TraceBuilder, TraceInstr,
+    StartReason, Trace, TraceBuilder, TraceInstr, COMPLETED_ENTRIES, DECODE_WIDTH, PREFETCH_CACHES,
+    WORKLIST_CAP,
 };
 use tpc_isa::model::{IndirectModel, OutcomeModel, XorShift64};
 use tpc_isa::{Addr, BranchCond, Op, OpClass, Program, ProgramBuilder, Reg};
@@ -99,13 +100,16 @@ struct RefEngine {
     next_region_id: u64,
     stats: EngineStats,
     activity: Vec<Activity>,
+    /// Ticks that left a start point on the stack because every
+    /// region slot was live.
+    slot_waits: u64,
 }
 
 impl RefEngine {
     fn new(config: EngineConfig) -> Self {
         RefEngine {
-            stack: StartPointStack::new(config.stack_depth.max(1), config.completed_entries),
-            regions: (0..config.prefetch_caches)
+            stack: StartPointStack::new(config.stack_depth.max(1), COMPLETED_ENTRIES),
+            regions: (0..PREFETCH_CACHES)
                 .map(|_| RefRegion {
                     live: false,
                     id: 0,
@@ -125,6 +129,7 @@ impl RefEngine {
             next_region_id: 1,
             stats: EngineStats::default(),
             activity: Vec::new(),
+            slot_waits: 0,
             config,
         }
     }
@@ -181,9 +186,7 @@ impl RefEngine {
         self.activate_regions();
         self.land_pending_fetches(cycle);
         if slow_path_idle {
-            for _ in 0..self.config.fetch_width {
-                self.issue_line_fetch(cycle, icache);
-            }
+            self.issue_line_fetch(cycle, icache);
         }
         self.run_constructors(program, bimodal, store);
         self.complete_quiet_regions();
@@ -213,6 +216,9 @@ impl RefEngine {
             slot.queue(sp.addr);
             self.next_region_id += 1;
             self.stats.regions_started += 1;
+        }
+        if !self.stack.is_empty() && self.regions.iter().all(|r| r.live) {
+            self.slot_waits += 1;
         }
     }
 
@@ -280,7 +286,7 @@ impl RefEngine {
                 continue;
             }
             self.blocked[c] = None;
-            let mut budget = self.config.decode_width;
+            let mut budget = DECODE_WIDTH;
             while budget > 0 {
                 if self.constructors[c].is_idle() && !self.assign_work(c) {
                     break;
@@ -332,7 +338,7 @@ impl RefEngine {
         let region_id = region.id;
         if let Some(succ) = trace.successor() {
             if region.seen.binary_search(&succ).is_err() {
-                if region.worklist.len() < self.config.worklist_cap {
+                if region.worklist.len() < WORKLIST_CAP {
                     region.queue(succ);
                 } else {
                     self.stats.successors_dropped += 1;
@@ -556,15 +562,10 @@ fn random_config(rng: &mut XorShift64, paper: bool) -> EngineConfig {
         return base;
     }
     EngineConfig {
-        prefetch_caches: rng.next_in(1, 6) as usize,
         constructors: rng.next_in(1, 8) as usize,
         prefetch_capacity: 16 * rng.next_in(1, 16),
         stack_depth: rng.next_in(1, 16) as usize,
-        completed_entries: rng.next_below(5) as usize,
         decision_depth: rng.next_below(4) as usize,
-        decode_width: rng.next_below(7),
-        worklist_cap: rng.next_in(1, 10) as usize,
-        fetch_width: rng.next_in(1, 2),
         ..base
     }
 }
@@ -671,8 +672,14 @@ fn compare(
 }
 
 /// Drives both engines through `cycles` cycles of one random case;
-/// returns the engine counters at the end.
-fn run_case(case: u64, rng: &mut XorShift64, cycles: u64, fault_permille: u32) -> EngineStats {
+/// returns the engine counters at the end and the reference's
+/// `slot_waits`.
+fn run_case(
+    case: u64,
+    rng: &mut XorShift64,
+    cycles: u64,
+    fault_permille: u32,
+) -> (EngineStats, u64) {
     let program = random_program(rng);
     let config = random_config(rng, case == 0);
     let (store, ref_store) = store_pair(rng);
@@ -808,16 +815,21 @@ fn run_case(case: u64, rng: &mut XorShift64, cycles: u64, fault_permille: u32) -
             }
         }
     }
-    reference.engine.stats
+    (reference.engine.stats, reference.engine.slot_waits)
 }
 
 /// Sums the counters of `cases` random cases, checking that every
-/// way a region can end, and every other engine path, was exercised.
+/// way a region can end, and every other engine path, was exercised:
+/// among them a successor dropped at the worklist cap
+/// (`successors_dropped`), and start points that waited while all
+/// [`PREFETCH_CACHES`] region slots were live.
 fn run_cases(seed: u64, cases: u64, fault_permille: impl Fn(u64) -> u32) {
     let mut rng = XorShift64::new(seed);
     let mut total = EngineStats::default();
+    let mut slot_waits = 0;
     for case in 0..cases {
-        let mut stats = run_case(case, &mut rng, 3_000, fault_permille(case));
+        let (mut stats, waits) = run_case(case, &mut rng, 3_000, fault_permille(case));
+        slot_waits += waits;
         let mut words = Vec::new();
         stats.visit_words(&mut |w| words.push(*w));
         let mut words = words.into_iter();
@@ -830,6 +842,7 @@ fn run_cases(seed: u64, cases: u64, fault_permille: impl Fn(u64) -> u32) {
         words.iter().all(|&w| w > 0),
         "a path went unexercised: {total:?}"
     );
+    assert!(slot_waits > 0, "no start point waited for a region slot");
 }
 
 #[test]

@@ -8,8 +8,9 @@
 //! * prefetch-cache capacity (the paper's 256 instructions),
 //! * the constructors' decision-stack depth (path-forking budget).
 
+use crate::par_sweep::sweep_grid;
 use crate::report::{f1, f2, markdown_table};
-use crate::runner::{simulate_many, RunParams};
+use crate::runner::RunParams;
 use tpc_core::EngineConfig;
 use tpc_processor::SimConfig;
 use tpc_workloads::Benchmark;
@@ -57,7 +58,7 @@ pub fn run(benchmark: Benchmark, params: RunParams) -> Vec<AblationRow> {
         .iter()
         .flat_map(|&(_, values, make)| values.iter().map(move |&v| make(v)))
         .collect();
-    let stats = simulate_many(benchmark, &configs, params);
+    let stats = sweep_grid(&[benchmark], &configs, params).concat();
 
     let mut rows = Vec::new();
     let mut it = stats.iter();
@@ -110,7 +111,7 @@ pub fn dynamic_split(benchmark: Benchmark, params: RunParams) -> Vec<DynamicSpli
         ("unified, adaptive", unified(1, 4096)),
     ];
     let configs: Vec<SimConfig> = labeled.iter().map(|(_, c)| c.clone()).collect();
-    let stats = simulate_many(benchmark, &configs, params);
+    let stats = sweep_grid(&[benchmark], &configs, params).concat();
     labeled
         .into_iter()
         .zip(stats)

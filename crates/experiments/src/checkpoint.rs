@@ -72,10 +72,10 @@ impl Fnv64 {
 }
 
 /// Fingerprints a sweep: the [`MODEL_VERSION`], the run window and
-/// seed plus every cell's frontend identifier and configuration (via
-/// its `Debug` rendering, which covers each field) and the cell
-/// count. Two sweeps get the same fingerprint exactly when their
-/// checkpoints are interchangeable.
+/// seed plus every cell's configuration (via its `Debug` rendering,
+/// which covers each field) and the cell count. Two sweeps get the
+/// same fingerprint exactly when their checkpoints are
+/// interchangeable.
 ///
 /// `jobs` is deliberately excluded — thread count never changes
 /// results, so a sweep may be resumed with a different `--jobs`.
@@ -92,8 +92,6 @@ fn fingerprint_at(model_version: u32, params: &RunParams, cells: &[SweepCell]) -
     h.write(&params.seed.to_le_bytes());
     h.write(&(cells.len() as u64).to_le_bytes());
     for cell in cells {
-        h.write(cell.frontend.as_bytes());
-        h.write(b"\0");
         h.write(format!("{:?}", cell.config).as_bytes());
     }
     h.finish()
@@ -450,14 +448,6 @@ mod tests {
             SimConfig::baseline(128),
         )];
         assert_ne!(a, sweep_fingerprint(&params, &other_cells));
-        // A different frontend over the same program and config is a
-        // different sweep: its checkpoints are not interchangeable.
-        let asm_cells = vec![crate::par_sweep::SweepCell::tagged(
-            Arc::clone(&cells[0].program),
-            SimConfig::baseline(64),
-            "asm",
-        )];
-        assert_ne!(a, sweep_fingerprint(&params, &asm_cells));
         // Thread count is excluded: resuming with different --jobs
         // is allowed.
         let mut jobs_params = params;

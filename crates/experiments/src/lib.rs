@@ -45,4 +45,4 @@ pub use par_sweep::{
     effective_jobs, par_map, par_try_map, run_cell, run_cells, sweep_grid, CellBudget, CellError,
     SweepCell,
 };
-pub use runner::{simulate, simulate_many, simulate_source, RunParams};
+pub use runner::{simulate_source, RunParams};

@@ -241,27 +241,12 @@ pub struct SweepCell {
     pub program: Arc<Program>,
     /// The configuration to simulate it under.
     pub config: SimConfig,
-    /// Identifier of the frontend that produced `program` (see
-    /// [`tpc_exec::FrontendSource::id`]); recorded in benchmark
-    /// output and hashed into checkpoint fingerprints so results
-    /// from different frontends are never conflated.
-    pub frontend: &'static str,
 }
 
 impl SweepCell {
     /// Creates a cell for a synthetic (generated) workload.
     pub fn new(program: Arc<Program>, config: SimConfig) -> Self {
-        SweepCell::tagged(program, config, "synthetic")
-    }
-
-    /// Creates a cell whose program came from another frontend
-    /// (e.g. `"asm"` for a loaded `.asm` file).
-    pub fn tagged(program: Arc<Program>, config: SimConfig, frontend: &'static str) -> Self {
-        SweepCell {
-            program,
-            config,
-            frontend,
-        }
+        SweepCell { program, config }
     }
 }
 

@@ -2,7 +2,6 @@
 
 use tpc_exec::FrontendSource;
 use tpc_processor::{SimConfig, SimStats, Simulator};
-use tpc_workloads::{Benchmark, WorkloadBuilder};
 
 /// How long to warm up and measure each configuration.
 ///
@@ -89,13 +88,6 @@ impl RunParams {
     }
 }
 
-/// Runs one benchmark under one configuration and returns measured
-/// statistics (after warm-up).
-pub fn simulate(benchmark: Benchmark, config: SimConfig, params: RunParams) -> SimStats {
-    let program = WorkloadBuilder::new(benchmark).seed(params.seed).build();
-    simulate_source(&program, config, params)
-}
-
 /// Runs any [`FrontendSource`] — a synthetic [`tpc_isa::Program`], a
 /// loaded [`tpc_exec::AsmProgram`] — under one configuration and
 /// returns measured statistics (after warm-up). `params.seed` is
@@ -109,23 +101,10 @@ pub fn simulate_source<S: FrontendSource>(
     sim.run_with_warmup(params.warmup, params.measure)
 }
 
-/// Runs several configurations over the *same* generated program,
-/// shared across `params.jobs` worker threads (see
-/// [`crate::par_sweep`]); results are in configuration order and
-/// independent of the thread count.
-pub fn simulate_many(
-    benchmark: Benchmark,
-    configs: &[SimConfig],
-    params: RunParams,
-) -> Vec<SimStats> {
-    crate::par_sweep::sweep_grid(&[benchmark], configs, params)
-        .pop()
-        .unwrap_or_default()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tpc_workloads::{Benchmark, WorkloadBuilder};
 
     fn args(s: &[&str]) -> std::vec::IntoIter<String> {
         s.iter()
@@ -162,9 +141,10 @@ mod tests {
     }
 
     #[test]
-    fn simulate_returns_measured_window() {
-        let s = simulate(
-            Benchmark::Compress,
+    fn simulate_source_returns_measured_window() {
+        let program = WorkloadBuilder::new(Benchmark::Compress).seed(1).build();
+        let s = simulate_source(
+            &program,
             SimConfig::baseline(128),
             RunParams {
                 warmup: 5_000,

@@ -7,7 +7,7 @@
 //! exact `SimStats` equality (every field is an integer counter).
 
 use tpc_core::FaultPlan;
-use tpc_experiments::{simulate_many, sweep_grid, RunParams};
+use tpc_experiments::{sweep_grid, RunParams};
 use tpc_processor::SimConfig;
 use tpc_workloads::Benchmark;
 
@@ -35,10 +35,10 @@ fn sweep_grid_is_identical_across_job_counts() {
 }
 
 #[test]
-fn simulate_many_is_identical_across_job_counts() {
+fn one_benchmark_sweep_is_identical_across_job_counts() {
     let configs = [SimConfig::baseline(64), SimConfig::with_precon(64, 32)];
-    let serial = simulate_many(Benchmark::Ijpeg, &configs, params_with_jobs(1));
-    let parallel = simulate_many(Benchmark::Ijpeg, &configs, params_with_jobs(4));
+    let serial = sweep_grid(&[Benchmark::Ijpeg], &configs, params_with_jobs(1));
+    let parallel = sweep_grid(&[Benchmark::Ijpeg], &configs, params_with_jobs(4));
     assert_eq!(serial, parallel);
 }
 

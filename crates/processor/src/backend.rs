@@ -9,7 +9,7 @@
 //!   execute the cycle after its producer finishes; values crossing
 //!   processing elements pay one extra cycle on a global result bus
 //!   (producer executes in N ⇒ cross-PE consumer executes in N+2);
-//! * issue bandwidth — at most `issue_per_pe` instructions begin
+//! * issue bandwidth — at most [`ISSUE_PER_PE`] instructions begin
 //!   execution per PE per cycle;
 //! * memory ports — at most 4 data-cache accesses per cycle overall
 //!   and 2 per PE (the paper's four-ported L1D);
@@ -21,30 +21,29 @@ use tpc_core::MAX_TRACE_LEN;
 use tpc_isa::OpClass;
 use tpc_mem::DataCache;
 
-/// Backend configuration (defaults are the paper's).
+/// Issue width per processing element.
+pub const ISSUE_PER_PE: u8 = 2;
+
+/// Extra cycles for a value to cross processing elements.
+pub const BUS_DELAY: u64 = 1;
+
+/// Global data-cache ports per cycle.
+pub const MEM_PORTS_GLOBAL: u8 = 4;
+
+/// Data-cache ports one PE may use per cycle.
+pub const MEM_PORTS_PER_PE: u8 = 2;
+
+/// Backend configuration (the default is the paper's). The issue and
+/// port limits and the bus delay are the paper's constants above.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BackendConfig {
     /// Number of processing elements.
     pub pe_count: usize,
-    /// Issue width per processing element.
-    pub issue_per_pe: u8,
-    /// Extra cycles for a value to cross processing elements.
-    pub bus_delay: u64,
-    /// Global data-cache ports per cycle.
-    pub mem_ports_global: u8,
-    /// Data-cache ports one PE may use per cycle.
-    pub mem_ports_per_pe: u8,
 }
 
 impl Default for BackendConfig {
     fn default() -> Self {
-        BackendConfig {
-            pe_count: 4,
-            issue_per_pe: 2,
-            bus_delay: 1,
-            mem_ports_global: 4,
-            mem_ports_per_pe: 2,
-        }
+        BackendConfig { pe_count: 4 }
     }
 }
 
@@ -76,9 +75,19 @@ const USAGE_RING: usize = 8192;
 /// Bits of one counter lane in a [`CycleUsage`] word.
 const LANE_BITS: usize = 4;
 
-/// The largest count a lane holds, and so the largest resource limit
-/// a [`BackendConfig`] may set.
+/// The largest count a lane holds.
 const LANE_MAX: u8 = (1 << LANE_BITS) - 1;
+
+// Every issue and port limit fits a lane, and none is 0 (which would
+// never issue).
+const _: () = assert!(
+    0 < ISSUE_PER_PE
+        && ISSUE_PER_PE <= LANE_MAX
+        && 0 < MEM_PORTS_GLOBAL
+        && MEM_PORTS_GLOBAL <= LANE_MAX
+        && 0 < MEM_PORTS_PER_PE
+        && MEM_PORTS_PER_PE <= LANE_MAX
+);
 
 /// The most processing elements whose `1 + 2·pe_count` lanes fit in
 /// one `u64` word.
@@ -93,8 +102,8 @@ const MAX_PES: usize = (64 / LANE_BITS - 1) / 2;
 ///
 /// The add never carries into the next lane: a use is counted only in
 /// a cycle whose lanes are all below their limits (the slot search
-/// checks exactly that), and [`Backend::new`] keeps every limit at
-/// most `LANE_MAX`, so no lane ever counts past `LANE_MAX`.
+/// checks exactly that), and every limit is at most `LANE_MAX` (a
+/// compile-time assertion), so no lane ever counts past `LANE_MAX`.
 ///
 /// A slot is recycled (re-tagged and zeroed) only for a cycle no
 /// earlier than the current dispatch's first execution cycle, and
@@ -177,7 +186,7 @@ const NO_WRITER: u8 = u8::MAX;
 pub struct Backend {
     config: BackendConfig,
     /// Per register: (cycle a same-PE consumer may execute, producer
-    /// PE). Cross-PE consumers add `bus_delay`.
+    /// PE). Cross-PE consumers add [`BUS_DELAY`].
     reg_ready: [(u64, usize); tpc_isa::NUM_REGS],
     usage: CycleUsage,
     dcache: DataCache,
@@ -191,9 +200,8 @@ impl Backend {
     ///
     /// # Panics
     ///
-    /// Panics unless `config` has 1 to 7 PEs and every issue and port
-    /// limit is 1 to 15: the per-cycle usage packs each counter into a
-    /// 4-bit lane of one `u64`, and a limit of 0 never issues.
+    /// Panics unless `config` has 1 to 7 PEs: the per-cycle usage
+    /// packs each counter into a 4-bit lane of one `u64`.
     pub fn new(config: BackendConfig) -> Self {
         assert!(
             (1..=MAX_PES).contains(&config.pe_count),
@@ -201,17 +209,6 @@ impl Backend {
              counters share one 64-bit word), got {}",
             config.pe_count
         );
-        for (name, limit) in [
-            ("issue_per_pe", config.issue_per_pe),
-            ("mem_ports_global", config.mem_ports_global),
-            ("mem_ports_per_pe", config.mem_ports_per_pe),
-        ] {
-            assert!(
-                (1..=LANE_MAX).contains(&limit),
-                "backend {name} must be 1..={LANE_MAX} (0 never issues; each usage \
-                 counter is {LANE_BITS} bits wide), got {limit}"
-            );
-        }
         Backend {
             reg_ready: [(0, 0); tpc_isa::NUM_REGS],
             usage: CycleUsage::new(),
@@ -302,11 +299,7 @@ impl Backend {
                 match last_writer[src.index()] {
                     NO_WRITER => {
                         let (avail, producer_pe) = self.reg_ready[src.index()];
-                        let penalty = if producer_pe == pe {
-                            0
-                        } else {
-                            self.config.bus_delay
-                        };
+                        let penalty = if producer_pe == pe { 0 } else { BUS_DELAY };
                         ext_ready[i] = ext_ready[i].max(avail + penalty);
                     }
                     w => deps[i] |= 1 << w,
@@ -360,11 +353,10 @@ impl Backend {
             let mut c = ready;
             loop {
                 let word = self.usage.word(c);
-                let slots_ok = CycleUsage::lane(word, issue) < self.config.issue_per_pe;
+                let slots_ok = CycleUsage::lane(word, issue) < ISSUE_PER_PE;
                 let ports_ok = !is_mem
-                    || (CycleUsage::lane(word, CycleUsage::MEM_GLOBAL)
-                        < self.config.mem_ports_global
-                        && CycleUsage::lane(word, mem) < self.config.mem_ports_per_pe);
+                    || (CycleUsage::lane(word, CycleUsage::MEM_GLOBAL) < MEM_PORTS_GLOBAL
+                        && CycleUsage::lane(word, mem) < MEM_PORTS_PER_PE);
                 if slots_ok && ports_ok {
                     break;
                 }

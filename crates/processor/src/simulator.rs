@@ -32,8 +32,14 @@ pub enum StorageKind {
     },
 }
 
-/// Full simulator configuration. Defaults are the paper's Section 4
-/// machine with a 256-entry trace cache and preconstruction enabled.
+/// Full simulator configuration: the values the experiments vary.
+/// Defaults are the paper's Section 4 machine with a 256-entry trace
+/// cache and preconstruction enabled. The rest of that machine is
+/// fixed: the next-trace predictor's [`NtpConfig::default`], a
+/// 64-entry return-address stack and a 5-cycle misprediction penalty
+/// (constants beside [`Simulator`]), the backend's issue and port
+/// limits (`crate::backend`), and the engine's constants
+/// (`tpc_core::engine`).
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Trace cache entries (2-way set-associative).
@@ -49,16 +55,10 @@ pub struct SimConfig {
     pub preprocess: bool,
     /// Instruction cache configuration.
     pub icache: InstrCacheConfig,
-    /// Next-trace predictor configuration.
-    pub ntp: NtpConfig,
     /// Bimodal predictor entries.
     pub bimodal_entries: usize,
-    /// Return-address-stack depth.
-    pub ras_depth: usize,
     /// Backend configuration.
     pub backend: BackendConfig,
-    /// Frontend redirect penalty after a resolved misprediction.
-    pub mispredict_penalty: u64,
     /// Deterministic fault-injection plan perturbing the
     /// preconstruction mechanisms (`None` disables injection). Faults
     /// may move performance counters but never the retirement stream
@@ -74,11 +74,8 @@ impl Default for SimConfig {
             engine: EngineConfig::default(),
             preprocess: false,
             icache: InstrCacheConfig::default(),
-            ntp: NtpConfig::default(),
             bimodal_entries: 4096,
-            ras_depth: 64,
             backend: BackendConfig::default(),
-            mispredict_penalty: 5,
             faults: None,
         }
     }
@@ -526,6 +523,13 @@ struct Inflight {
     complete: u64,
 }
 
+/// Return-address-stack depth.
+const RAS_DEPTH: usize = 64;
+
+/// Frontend redirect penalty, in cycles, after a resolved
+/// misprediction.
+const MISPREDICT_PENALTY: u64 = 5;
+
 /// The simulator, generic over the instruction [`Frontend`] and the
 /// [`Probe`] that observes it (both statically dispatched). Create
 /// with [`Simulator::new`] for the synthetic executor frontend,
@@ -611,9 +615,9 @@ impl<F: Frontend, P: Probe> Simulator<F, P> {
             stream: TraceStream::over(frontend),
             store,
             engine: PreconEngine::with_probe(config.engine, probe),
-            ntp: NextTracePredictor::new(config.ntp),
+            ntp: NextTracePredictor::new(NtpConfig::default()),
             bimodal: Bimodal::new(config.bimodal_entries),
-            ras: ReturnAddressStack::new(config.ras_depth),
+            ras: ReturnAddressStack::new(RAS_DEPTH),
             icache: InstrCache::new(config.icache),
             backend: Backend::new(config.backend),
             inflight: VecDeque::new(),
@@ -935,7 +939,7 @@ impl<F: Frontend, P: Probe> Simulator<F, P> {
             let predicted = self.ntp.observe(key, end) == Some(key);
             if !predicted {
                 self.stats.ntp_mispredicts += 1;
-                let resume = (self.prev_resolve + self.config.mispredict_penalty).max(self.cycle);
+                let resume = (self.prev_resolve + MISPREDICT_PENALTY).max(self.cycle);
                 if resume > self.cycle {
                     self.stall_until = resume;
                     self.engine.probe.event(SimEvent::MispredictStall {
@@ -1012,12 +1016,12 @@ impl<F: Frontend, P: Probe> Simulator<F, P> {
                 OpClass::Branch => {
                     let taken = *outcome_iter.next().expect("outcomes parallel branches");
                     if self.bimodal.predict(ti.pc) != taken {
-                        tail_stall += self.config.mispredict_penalty;
+                        tail_stall += MISPREDICT_PENALTY;
                         self.stats.slow_path_predict_stalls += 1;
                     }
                 }
                 OpClass::IndirectJump => {
-                    tail_stall += self.config.mispredict_penalty;
+                    tail_stall += MISPREDICT_PENALTY;
                     self.stats.slow_path_predict_stalls += 1;
                 }
                 OpClass::Return => {
@@ -1025,7 +1029,7 @@ impl<F: Frontend, P: Probe> Simulator<F, P> {
                     // successor recorded in the trace.
                     let predicted = self.ras.pop();
                     if predicted != dt.trace.successor() {
-                        tail_stall += self.config.mispredict_penalty;
+                        tail_stall += MISPREDICT_PENALTY;
                         self.stats.slow_path_predict_stalls += 1;
                     }
                 }

@@ -9,7 +9,10 @@ use tpc_core::{PushResult, Resolution, TraceBuilder, MAX_TRACE_LEN};
 use tpc_isa::model::XorShift64;
 use tpc_isa::{Addr, Op, OpClass, Reg, NUM_REGS};
 use tpc_mem::DataCache;
-use tpc_processor::backend::{Backend, BackendConfig, TraceTiming};
+use tpc_processor::backend::{
+    Backend, BackendConfig, TraceTiming, BUS_DELAY, ISSUE_PER_PE, MEM_PORTS_GLOBAL,
+    MEM_PORTS_PER_PE,
+};
 use tpc_processor::DynTrace;
 
 const CASES: u32 = 256;
@@ -91,8 +94,7 @@ fn schedule_respects_machine_constraints() {
         let ops = random_ops(&mut rng);
         let dispatch = u64::from(rng.next_below(1000));
         let at = format!("case {case} at {dispatch}: {ops:?}");
-        let config = BackendConfig::default();
-        let mut be = Backend::new(config);
+        let mut be = Backend::new(BackendConfig::default());
         let dt = build_dyn_trace(&ops);
         let t = be.dispatch(&dt, dispatch, false);
         let n = dt.trace.len();
@@ -117,8 +119,8 @@ fn schedule_respects_machine_constraints() {
                 );
             }
         }
-        // Issue width: at most `issue_per_pe` starts per cycle, and at
-        // most `mem_ports_per_pe` of them memory ops.
+        // Issue width: at most `ISSUE_PER_PE` starts per cycle, and at
+        // most `MEM_PORTS_PER_PE` of them memory ops.
         let mut per_cycle = BTreeMap::new();
         let mut mem_per_cycle = BTreeMap::new();
         for (ti, &c) in dt.trace.instrs().iter().zip(start) {
@@ -129,13 +131,13 @@ fn schedule_respects_machine_constraints() {
         }
         for (&c, &count) in &per_cycle {
             assert!(
-                count <= u32::from(config.issue_per_pe),
+                count <= u32::from(ISSUE_PER_PE),
                 "{at}: {count} instructions issued in cycle {c}"
             );
         }
         for (&c, &count) in &mem_per_cycle {
             assert!(
-                count <= u32::from(config.mem_ports_per_pe),
+                count <= u32::from(MEM_PORTS_PER_PE),
                 "{at}: {count} memory ops issued in cycle {c}"
             );
         }
@@ -176,7 +178,7 @@ fn values_cross_traces_after_their_producers() {
                     if let (false, Some((ready, pe))) =
                         (in_trace[src.index()], written[src.index()])
                     {
-                        let bus = if pe == t.pe { 0 } else { config.bus_delay };
+                        let bus = if pe == t.pe { 0 } else { BUS_DELAY };
                         assert!(
                             t.exec_start[i] >= ready + bus,
                             "{at}: instr {i} read {src:?} at {} before {}",
@@ -245,9 +247,23 @@ impl RefRing {
     }
 }
 
+/// Cycles an instruction waited past its ready cycle, by the one
+/// resource that held it there.
+#[derive(Debug, Default)]
+struct Delays {
+    /// Its PE's issue slots were full; no memory port was.
+    issue: u64,
+    /// The global memory ports were full; its PE's issue slots and
+    /// memory ports were not.
+    mem_global: u64,
+    /// Its PE's memory ports were full, and the global ones were not.
+    /// (At the paper's limits its issue slots are then full too.)
+    mem_per_pe: u64,
+}
+
 /// Reference backend scheduler: the same dataflow list scheduling as
-/// `Backend`, with nine separate rings (issue slots and memory ports
-/// per PE, global memory ports).
+/// `Backend`, with separate rings (issue slots and memory ports per
+/// PE, global memory ports). It also counts why instructions waited.
 struct RefBackend {
     config: BackendConfig,
     reg_ready: [(u64, usize); NUM_REGS],
@@ -257,6 +273,7 @@ struct RefBackend {
     dcache: DataCache,
     pe_free_at: Vec<u64>,
     next_pe: usize,
+    delays: Delays,
 }
 
 impl RefBackend {
@@ -270,6 +287,7 @@ impl RefBackend {
             dcache: DataCache::new(),
             pe_free_at: vec![0; config.pe_count],
             next_pe: 0,
+            delays: Delays::default(),
         }
     }
 
@@ -299,11 +317,7 @@ impl RefBackend {
                     Some(w) => deps[i] |= 1 << w,
                     None => {
                         let (avail, producer) = self.reg_ready[src.index()];
-                        let bus = if producer == pe {
-                            0
-                        } else {
-                            self.config.bus_delay
-                        };
+                        let bus = if producer == pe { 0 } else { BUS_DELAY };
                         ext_ready[i] = ext_ready[i].max(avail + bus);
                     }
                 }
@@ -334,11 +348,17 @@ impl RefBackend {
             };
             let is_mem = matches!(class, OpClass::Load | OpClass::Store);
             let mut c = ready;
-            while self.issue_slots[pe].count(c) >= self.config.issue_per_pe
-                || is_mem
-                    && (self.mem_global.count(c) >= self.config.mem_ports_global
-                        || self.mem_per_pe[pe].count(c) >= self.config.mem_ports_per_pe)
-            {
+            loop {
+                let issue_full = self.issue_slots[pe].count(c) >= ISSUE_PER_PE;
+                let global_full = is_mem && self.mem_global.count(c) >= MEM_PORTS_GLOBAL;
+                let pe_ports_full = is_mem && self.mem_per_pe[pe].count(c) >= MEM_PORTS_PER_PE;
+                match (issue_full, global_full, pe_ports_full) {
+                    (false, false, false) => break,
+                    (true, false, false) => self.delays.issue += 1,
+                    (false, true, false) => self.delays.mem_global += 1,
+                    (_, false, true) => self.delays.mem_per_pe += 1,
+                    _ => {}
+                }
                 c += 1;
             }
             self.issue_slots[pe].inc(c);
@@ -380,33 +400,30 @@ impl RefBackend {
     }
 }
 
-/// A random configuration the backend accepts: 1 to 7 PEs, and issue
-/// and port limits of 1 to 15.
+/// A random configuration the backend accepts: 1 to 7 PEs.
 fn random_config(rng: &mut XorShift64) -> BackendConfig {
-    let mut limit = || rng.next_in(1, 15) as u8; // narrow: ≤ 15
-    let (issue_per_pe, mem_ports_global, mem_ports_per_pe) = (limit(), limit(), limit());
     BackendConfig {
         pe_count: rng.next_in(1, 7) as usize,
-        issue_per_pe,
-        bus_delay: u64::from(rng.next_below(3)),
-        mem_ports_global,
-        mem_ports_per_pe,
     }
 }
 
 /// The one shared per-cycle ring schedules exactly like separate
 /// rings per resource: over long random dispatch streams whose cycles
 /// wrap the ring many times, with and without preprocessing, on the
-/// paper's configuration and on random ones (so every lane offset of
-/// the packed usage word is exercised), every `TraceTiming` is equal.
-/// Retirement follows the simulator's discipline: in order, once a
-/// trace has completed or its PE is needed.
+/// paper's configuration and on random PE counts (so every lane
+/// offset of the packed usage word is exercised), every `TraceTiming`
+/// is equal. Retirement follows the simulator's discipline: in order,
+/// once a trace has completed or its PE is needed. On the paper's
+/// configuration, each issue and port limit alone delays some
+/// instruction.
 #[test]
 fn shared_ring_matches_separate_rings() {
     let mut rng = XorShift64::new(0x5E9A_4A7E);
+    let paper = BackendConfig::default();
+    let mut paper_delays = Delays::default();
     for case in 0..CASES / 8 {
-        let config = if case == 0 {
-            BackendConfig::default()
+        let config = if case % 2 == 0 {
+            paper
         } else {
             random_config(&mut rng)
         };
@@ -451,48 +468,26 @@ fn shared_ring_matches_separate_rings() {
             assert_eq!(t.exec_done, r.exec_done, "{at}");
             inflight.push_back((t.pe, t.complete));
         }
+        if config == paper {
+            let d = &reference.delays;
+            paper_delays.issue += d.issue;
+            paper_delays.mem_global += d.mem_global;
+            paper_delays.mem_per_pe += d.mem_per_pe;
+        }
     }
+    let d = &paper_delays;
+    assert!(
+        d.issue > 0 && d.mem_global > 0 && d.mem_per_pe > 0,
+        "a limit never delayed an instruction alone: {d:?}"
+    );
 }
 
-/// The backend rejects configurations its packed per-cycle usage word
-/// cannot count: more than 7 PEs, a limit above 15, or a limit of 0.
+/// The backend rejects PE counts its packed per-cycle usage word
+/// cannot count: more than 7, or none.
 #[test]
 fn out_of_range_configs_are_rejected() {
-    let paper = BackendConfig::default();
-    let bad = [
-        BackendConfig {
-            pe_count: 8,
-            ..paper
-        },
-        BackendConfig {
-            pe_count: 0,
-            ..paper
-        },
-        BackendConfig {
-            issue_per_pe: 16,
-            ..paper
-        },
-        BackendConfig {
-            mem_ports_global: 0,
-            ..paper
-        },
-        BackendConfig {
-            mem_ports_per_pe: 16,
-            ..paper
-        },
-    ];
-    for config in bad {
-        let result = std::panic::catch_unwind(|| Backend::new(config));
-        assert!(result.is_err(), "{config:?} was accepted");
+    for pe_count in [0, 8] {
+        let result = std::panic::catch_unwind(|| Backend::new(BackendConfig { pe_count }));
+        assert!(result.is_err(), "{pe_count} PEs were accepted");
     }
-}
-
-/// The rejection names the limit that is out of range.
-#[test]
-#[should_panic(expected = "backend issue_per_pe must be 1..=15")]
-fn zero_issue_width_is_rejected() {
-    Backend::new(BackendConfig {
-        issue_per_pe: 0,
-        ..BackendConfig::default()
-    });
 }

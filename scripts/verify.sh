@@ -46,12 +46,21 @@ for w in $(jq -r '.workloads[].name' BENCHMARK.json); do
     || { echo "perfbench $w: an operation failed" >&2; exit 1; }
 done
 
-echo "== pipeline_view example: the probe's event hooks end to end =="
-# The event hooks' only non-test user: it must exit 0 and close with
-# its summary line.
-pipeline_view="$(cargo run -q --release --offline --example pipeline_view)"
-grep -q '^summary: ' <<<"$pipeline_view" \
-  || { echo "pipeline_view printed no summary line" >&2; exit 1; }
+echo "== every example runs to exit 0 =="
+# Each builds its SimConfigs through the public API. pipeline_view is
+# also the event hooks' only non-test user: it must close with its
+# summary line.
+examples_start=$SECONDS
+for f in examples/*.rs; do
+  example="$(basename "$f" .rs)"
+  out="$(cargo run -q --release --offline --example "$example")" \
+    || { echo "example $example failed" >&2; exit 1; }
+  if [ "$example" = pipeline_view ]; then
+    grep -q '^summary: ' <<<"$out" \
+      || { echo "pipeline_view printed no summary line" >&2; exit 1; }
+  fi
+done
+echo "examples: $((SECONDS - examples_start)) s"
 
 echo "== differential fuzz, 10s budget, fixed seed =="
 # Every differential run lints the program and checks engine
